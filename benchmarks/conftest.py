@@ -11,11 +11,37 @@ detector post-mortems) or the serializable :class:`ExperimentRecord`
 
 from __future__ import annotations
 
+import json
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.api import TABLE1_PARAMETERS, ExperimentSpec, execute_experiment
 from repro.core import TrojanZeroPipeline
 from repro.power import tech65_library
+
+#: The perf record the ``test_perf_*`` benches merge their sections into.
+BENCH_PERF_PATH = Path(__file__).resolve().parents[1] / "BENCH_perf.json"
+
+
+def update_perf_report(section: str, payload: dict) -> None:
+    """Merge one section into ``BENCH_perf.json`` (sections own their keys).
+
+    Only when ``REPRO_BENCH_WRITE=1``: the perf benches also run in the
+    plain test suite, which must not rewrite the tracked record.
+    """
+    if os.environ.get("REPRO_BENCH_WRITE") != "1":
+        return
+    report = {}
+    if BENCH_PERF_PATH.exists():
+        try:
+            report = json.loads(BENCH_PERF_PATH.read_text())
+        except json.JSONDecodeError:
+            report = {}
+    report[section] = payload
+    BENCH_PERF_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+
 
 #: The paper's Table I parameters: benchmark -> (Pth, counter bits).
 PAPER_PARAMETERS = TABLE1_PARAMETERS

@@ -15,28 +15,13 @@ fork from a parent with a warm structural compile cache.
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from pathlib import Path
 
 from repro.api import CellSupervisor, ExperimentSpec, FleetPolicy, run_experiment
 from repro.api.runner import _campaign_worker
 
-_REPO_ROOT = Path(__file__).resolve().parents[1]
-_OUT_PATH = _REPO_ROOT / "BENCH_perf.json"
-
-
-def _update_report(section: str, payload: dict) -> None:
-    """Merge one section into ``BENCH_perf.json`` (sections own their keys)."""
-    report = {}
-    if _OUT_PATH.exists():
-        try:
-            report = json.loads(_OUT_PATH.read_text())
-        except json.JSONDecodeError:
-            report = {}
-    report[section] = payload
-    _OUT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+from conftest import BENCH_PERF_PATH, update_perf_report
 
 
 N_CELLS = 6
@@ -108,7 +93,7 @@ def test_supervised_pool_overhead():
             break
 
     per_cell_ms = _latency_probe()
-    _update_report("fleet", {
+    update_perf_report("fleet", {
         "workload": f"{N_CELLS} x c432 counter2 cells, {JOBS} workers, clean run",
         "n_cells": N_CELLS,
         "jobs": JOBS,
@@ -122,5 +107,5 @@ def test_supervised_pool_overhead():
     assert overhead_pct() < MAX_OVERHEAD_PCT, (
         f"supervised-pool overhead regressed: {overhead_pct():.2f}% > "
         f"{MAX_OVERHEAD_PCT}% on a clean campaign (per-cell supervision must "
-        f"stay off the hot path; see {_OUT_PATH})"
+        f"stay off the hot path; see {BENCH_PERF_PATH})"
     )

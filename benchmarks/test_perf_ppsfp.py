@@ -13,9 +13,7 @@ per-fault behaviour, not machine-to-machine variance.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -23,20 +21,8 @@ from repro.atpg import FaultSimulator, full_fault_list
 from repro.bench import c3540_like
 from repro.bench.iscas_extra import c6288_like
 
-_REPO_ROOT = Path(__file__).resolve().parents[1]
-_OUT_PATH = _REPO_ROOT / "BENCH_perf.json"
+from conftest import BENCH_PERF_PATH, update_perf_report
 
-
-def _update_report(section: str, payload: dict) -> None:
-    """Merge one section into ``BENCH_perf.json`` (sections own their keys)."""
-    report = {}
-    if _OUT_PATH.exists():
-        try:
-            report = json.loads(_OUT_PATH.read_text())
-        except json.JSONDecodeError:
-            report = {}
-    report[section] = payload
-    _OUT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 N_PATTERNS = 4096
 N_FAULTS = 128
@@ -101,7 +87,7 @@ def test_ppsfp_batch_throughput():
     results = {
         name: _bench_ppsfp(name, build, rng) for name, build in CIRCUITS.items()
     }
-    _update_report("ppsfp", {
+    update_perf_report("ppsfp", {
         "workload": f"{N_FAULTS} faults x {N_PATTERNS} patterns, "
         "drop_detected=False (full sweep)",
         "units": "fault-patterns per second",
@@ -114,5 +100,5 @@ def test_ppsfp_batch_throughput():
     }
     assert not slow, (
         f"PPSFP batch speedup regressed below {MIN_SPEEDUP}x on {slow} "
-        f"(see {_OUT_PATH})"
+        f"(see {BENCH_PERF_PATH})"
     )

@@ -23,27 +23,12 @@ Floors are generous for shared CI hardware; the recorded numbers in
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro.api import CampaignSpec, ExperimentRecord, ExperimentSpec, run_experiment
 from repro.service import FleetClient, FleetServer, ResultStore
 
-_REPO_ROOT = Path(__file__).resolve().parents[1]
-_OUT_PATH = _REPO_ROOT / "BENCH_perf.json"
-
-
-def _update_report(section: str, payload: dict) -> None:
-    """Merge one section into ``BENCH_perf.json`` (sections own their keys)."""
-    report = {}
-    if _OUT_PATH.exists():
-        try:
-            report = json.loads(_OUT_PATH.read_text())
-        except json.JSONDecodeError:
-            report = {}
-    report[section] = payload
-    _OUT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+from conftest import BENCH_PERF_PATH, update_perf_report
 
 
 #: Control-plane price of one job: submit -> streamed record, minus compute.
@@ -142,7 +127,7 @@ def test_service_control_plane_overhead(tmp_path):
         sample = N_STORE_ROWS / elapsed
         rows_per_s = sample if rows_per_s is None else max(rows_per_s, sample)
 
-    _update_report("service", {
+    update_perf_report("service", {
         "workload": (
             "in-process FleetServer, 1-cell c17 job; "
             f"{N_CACHED_CELLS}-cell cached resubmit; "
@@ -157,15 +142,15 @@ def test_service_control_plane_overhead(tmp_path):
     assert overhead_ms < MAX_SUBMIT_OVERHEAD_MS, (
         f"service control plane regressed: submit-to-record overhead "
         f"{overhead_ms:.1f}ms > {MAX_SUBMIT_OVERHEAD_MS}ms (HTTP + queue + "
-        f"streaming must stay off the hot path; see {_OUT_PATH})"
+        f"streaming must stay off the hot path; see {BENCH_PERF_PATH})"
     )
     assert cache_hit_ms < MAX_CACHE_HIT_MS_PER_RECORD, (
         f"cache-hit streaming regressed: {cache_hit_ms:.1f}ms/record > "
         f"{MAX_CACHE_HIT_MS_PER_RECORD}ms (cached resubmits must feel free; "
-        f"see {_OUT_PATH})"
+        f"see {BENCH_PERF_PATH})"
     )
     assert rows_per_s > MIN_QUERY_ROWS_PER_S, (
         f"store query throughput regressed: {rows_per_s:,.0f} rows/s < "
         f"{MIN_QUERY_ROWS_PER_S:,.0f} (queries must stay columnar; "
-        f"see {_OUT_PATH})"
+        f"see {BENCH_PERF_PATH})"
     )

@@ -23,9 +23,7 @@ silently falling back to a per-gate path), not to pin exact machine speeds.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -43,20 +41,8 @@ from repro.sim.bitsim import (
 from repro.sim.seqsim import ReferenceSequentialSimulator, SequentialSimulator
 from repro.trojan import insert_counter_trojan
 
-_REPO_ROOT = Path(__file__).resolve().parents[1]
-_OUT_PATH = _REPO_ROOT / "BENCH_perf.json"
+from conftest import BENCH_PERF_PATH, update_perf_report
 
-
-def _update_report(section: str, payload: dict) -> None:
-    """Merge one section into ``BENCH_perf.json`` (sections own their keys)."""
-    report = {}
-    if _OUT_PATH.exists():
-        try:
-            report = json.loads(_OUT_PATH.read_text())
-        except json.JSONDecodeError:
-            report = {}
-    report[section] = payload
-    _OUT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 N_PATTERNS = 4096
 FAULT_SAMPLE = 96
@@ -145,13 +131,13 @@ def _bench_circuit(name, build, rng):
 def test_compiled_engine_throughput():
     rng = np.random.default_rng(2026)
     results = {name: _bench_circuit(name, build, rng) for name, build in CIRCUITS.items()}
-    _update_report("workload", {
+    update_perf_report("workload", {
         "n_patterns": N_PATTERNS,
         "fault_sample": FAULT_SAMPLE,
         "faultsim_mode": "coverage (drop_detected=False)",
         "units": "pattern-gate evaluations per second / fault-patterns per second",
     })
-    _update_report("circuits", results)
+    update_perf_report("circuits", results)
 
     # Compiled dispatch must never lose to the per-gate reference — on ANY
     # circuit, including tiny c17, now that both sides pay the same packing
@@ -159,7 +145,7 @@ def test_compiled_engine_throughput():
     bitsim_slow = [n for n, r in results.items() if r["bitsim"]["speedup"] < 0.9]
     assert not bitsim_slow, (
         f"compiled bitsim lost to the reference interpreter on {bitsim_slow} "
-        f"(see {_OUT_PATH})"
+        f"(see {BENCH_PERF_PATH})"
     )
 
     iscas = {n: r for n, r in results.items() if n != "c17"}
@@ -167,11 +153,11 @@ def test_compiled_engine_throughput():
     faultsim_fast = [n for n, r in iscas.items() if r["faultsim"]["speedup"] >= 8.0]
     assert len(bitsim_fast) >= MIN_CIRCUITS_BITSIM_2X, (
         f"bit-parallel speedup regressed: only {bitsim_fast} of {list(iscas)} "
-        f"reached 2x (see {_OUT_PATH})"
+        f"reached 2x (see {BENCH_PERF_PATH})"
     )
     assert len(faultsim_fast) >= MIN_CIRCUITS_FAULTSIM_8X, (
         f"fault-sim speedup regressed: only {faultsim_fast} of {list(iscas)} "
-        f"reached 8x (see {_OUT_PATH})"
+        f"reached 8x (see {BENCH_PERF_PATH})"
     )
 
 
@@ -211,7 +197,7 @@ def test_seqsim_monte_carlo_throughput():
 
     vector_steps = SEQ_SESSIONS * SEQ_VECTORS
     speedup = t_before / t_after
-    _update_report("seqsim", {
+    update_perf_report("seqsim", {
         "circuit": "c3540 + 3-bit counter Trojan",
         "gates": circuit.num_logic_gates,
         "n_sessions": SEQ_SESSIONS,
@@ -224,7 +210,7 @@ def test_seqsim_monte_carlo_throughput():
     })
     assert speedup >= SEQ_MIN_SPEEDUP, (
         f"sequential Monte-Carlo speedup regressed: {speedup:.1f}x < "
-        f"{SEQ_MIN_SPEEDUP}x (see {_OUT_PATH})"
+        f"{SEQ_MIN_SPEEDUP}x (see {BENCH_PERF_PATH})"
     )
 
 
@@ -246,7 +232,7 @@ def test_pipeline_end_to_end_timing():
 
     stats = result.salvage.compile_stats
     trials = len(result.salvage.removals)
-    _update_report("pipeline", {
+    update_perf_report("pipeline", {
         "circuit": "c880",
         "gates": circuit.num_logic_gates,
         "max_candidates": 24,
@@ -260,7 +246,7 @@ def test_pipeline_end_to_end_timing():
     # may be full; every other trial patches or hits a cache.
     assert stats.get("full_compiles", 0) <= 2, (
         f"salvage recompiled cold {stats.get('full_compiles')} times over "
-        f"{trials} trials (stats: {stats}; see {_OUT_PATH})"
+        f"{trials} trials (stats: {stats}; see {BENCH_PERF_PATH})"
     )
     if trials > 2:
         assert (

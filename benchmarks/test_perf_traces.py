@@ -20,9 +20,7 @@ assertions are deliberately generous floors, not machine-speed pins.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -35,20 +33,7 @@ from repro.traces import GaussianNoise, NoiseChain, Quantization, TraceGenerator
 from repro.traces.lab import TraceLabConfig, trace_population
 from repro.trojan import insert_counter_trojan
 
-_REPO_ROOT = Path(__file__).resolve().parents[1]
-_OUT_PATH = _REPO_ROOT / "BENCH_perf.json"
-
-
-def _update_report(section: str, payload: dict) -> None:
-    """Merge one section into ``BENCH_perf.json`` (sections own their keys)."""
-    report = {}
-    if _OUT_PATH.exists():
-        try:
-            report = json.loads(_OUT_PATH.read_text())
-        except json.JSONDecodeError:
-            report = {}
-    report[section] = payload
-    _OUT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+from conftest import BENCH_PERF_PATH, update_perf_report
 
 
 def _timed(fn):
@@ -122,7 +107,7 @@ def test_trace_lab_throughput():
     assert (got == want).all(), "cone-restricted re-settle diverged"
     ripple_speedup = t_full / t_restricted
 
-    _update_report("traces", {
+    update_perf_report("traces", {
         "circuit": "c3540 + 5-bit counter Trojan",
         "gates": circuit.num_logic_gates,
         "nets_watched": n_nets,
@@ -151,12 +136,12 @@ def test_trace_lab_throughput():
     assert gen_rate >= MIN_NET_CYCLES_PER_S, (
         f"trace generation regressed: {gen_rate:.2e} net-cycles/s < "
         f"{MIN_NET_CYCLES_PER_S:.0e} (per-net Python loop in the hot path? "
-        f"see {_OUT_PATH})"
+        f"see {BENCH_PERF_PATH})"
     )
     assert chips_per_s >= MIN_CHIPS_PER_S, (
-        f"chip measurement regressed: {chips_per_s:.1f} chips/s (see {_OUT_PATH})"
+        f"chip measurement regressed: {chips_per_s:.1f} chips/s (see {BENCH_PERF_PATH})"
     )
     assert ripple_speedup >= MIN_RIPPLE_SPEEDUP, (
         f"cone-restricted ripple re-settle regressed: {ripple_speedup:.2f}x "
-        f"< {MIN_RIPPLE_SPEEDUP}x (see {_OUT_PATH})"
+        f"< {MIN_RIPPLE_SPEEDUP}x (see {BENCH_PERF_PATH})"
     )

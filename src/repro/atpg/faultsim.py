@@ -97,23 +97,24 @@ class FaultSimulator:
         self.circuit = circuit
         self._compiled: CompiledCircuit = compile_circuit(circuit, backend)
 
-    def _detect_mask_single_word(
-        self, site: int, stuck: int, good: List[int], mask: int
-    ) -> int:
-        """Python-int cone walk for one 64-pattern word (low constant factor).
+    def _detect_mask(self, site: int, stuck: int, good: List[int], mask: int) -> int:
+        """Python-int cone walk: bit *p* set iff pattern *p* detects the fault.
 
-        For single-vector / single-block calls — the PODEM outer loop's
-        dominant shape — per-gate Python int ops beat per-group numpy
-        dispatch, so the compiled engine only computes the good values and
-        the cone row order here.
+        ``good`` holds each row's good values as one int of any width (bit
+        *p* = pattern *p*) and ``mask`` has one bit per pattern; ``stuck`` is
+        ``mask`` or 0.  Per-gate Python int ops beat per-group numpy dispatch
+        on the narrow pattern sets ATPG produces, so the compiled engine only
+        computes the good values and the cone row order here.
         """
         cc = self._compiled
         if good[site] == stuck:
-            return 0  # never excited in this block
+            return 0  # never excited by these patterns
         faulty: Dict[int, int] = {site: stuck}
         detect = 0
         for row in cc.cone_rows_at(site):
             gate_type, ins = cc.node[row]
+            if faulty.keys().isdisjoint(ins):
+                continue  # no input carries the fault effect
             value = _evaluate_packed_int(
                 gate_type, [faulty.get(i, good[i]) for i in ins], mask
             )
@@ -132,18 +133,7 @@ class FaultSimulator:
         faults: List[StuckAtFault],
         result: FaultSimResult,
     ) -> FaultSimResult:
-        n_patterns = patterns.shape[0]
-        matrix = self._compiled.simulate_packed(pack_patterns(patterns))
-        mask = (1 << n_patterns) - 1
-        # Inverting gates set the pad bits past n_patterns in the compiled
-        # matrix; mask them off so the == early-exits below stay exact.
-        column = self._compiled.backend.to_numpy(matrix[:, 0])
-        good: List[int] = (column & np.uint64(mask)).tolist()
-        for fault in faults:
-            site = self._compiled.index[fault.net]
-            detect = self._detect_mask_single_word(
-                site, mask if fault.value else 0, good, mask
-            )
+        for fault, detect in zip(faults, self.detection_masks(patterns, faults)):
             if detect:
                 result.detected[fault] = (detect & -detect).bit_length() - 1
         result.undetected = [f for f in faults if f not in result.detected]
@@ -239,7 +229,7 @@ class FaultSimulator:
             survivors: List[StuckAtFault] = []
             for fault in remaining:
                 site = self._compiled.index[fault.net]
-                detect = self._detect_mask_single_word(
+                detect = self._detect_mask(
                     site, FULL_MASK if fault.value else 0, first_col, FULL_MASK
                 )
                 if detect:
@@ -255,6 +245,36 @@ class FaultSimulator:
                     result.detected[fault] = first
         result.undetected = [f for f in remaining if f not in result.detected]
         return result
+
+    def detection_masks(
+        self, patterns: np.ndarray, faults: Sequence[StuckAtFault]
+    ) -> List[int]:
+        """Per fault, the int whose bit *p* is set iff pattern *p* detects it.
+
+        One good-circuit simulation; each matrix row becomes one n-bit int
+        and every fault's cone is walked once at full width.  The lowest set
+        bit is the first-detect index :meth:`run` reports; 0 = undetected.
+        """
+        patterns = np.atleast_2d(np.asarray(patterns))
+        n_patterns = patterns.shape[0]
+        if n_patterns == 0:
+            return [0] * len(faults)
+        matrix = self._compiled.simulate_packed(pack_patterns(patterns))
+        host = np.ascontiguousarray(self._compiled.backend.to_numpy(matrix), dtype="<u8")
+        data = host.tobytes()
+        width = host.shape[1] * 8
+        full = (1 << n_patterns) - 1
+        # Inverting gates set the pad bits past n_patterns; mask them off so
+        # the == early-exits in the cone walk stay exact.
+        good = [
+            int.from_bytes(data[start : start + width], "little") & full
+            for start in range(0, len(data), width)
+        ]
+        index = self._compiled.index
+        return [
+            self._detect_mask(index[f.net], full if f.value else 0, good, full)
+            for f in faults
+        ]
 
     def detects(self, pattern: np.ndarray, fault: StuckAtFault) -> bool:
         """Does a single pattern detect ``fault``?"""

@@ -8,8 +8,11 @@ for the stuck-at testing model):
 2. **Deterministic phase** — PODEM on every remaining collapsed fault with a
    backtrack budget; each new vector is fault-simulated against all remaining
    faults so secondary detections are dropped.
-3. **Compaction** — reverse-order pass: a vector is kept only if removing it
-   would lose coverage (simple but effective static compaction).
+3. **Compaction** — one fault-simulation pass records, per fault, the
+   bitmask of every pattern that detects it; reverse-order static compaction
+   is then greedy set cover on those masks (a vector is kept only if removing
+   it would leave some fault undetected), and the final coverage is read off
+   the same masks after the pattern budget cut — no re-simulation.
 
 The resulting :class:`TestSet` is the defender's TP set: its coverage holes
 (aborted + untestable faults) are exactly where Algorithm 1's removals and
@@ -170,20 +173,18 @@ def generate_test_set(
     )
 
     # ------------------------------------------------------------------
-    # Phase 3: reverse-order static compaction, then the pattern budget.
+    # Phase 3: reverse-order static compaction, then the pattern budget.  One
+    # detection-mask pass serves both, and the coverage of the final set.
+    masks = simulator.detection_masks(patterns, target_faults)
     if config.compaction and patterns.shape[0] > 1:
-        patterns = _compact(
-            simulator, patterns, target_faults, config.fault_sim_mode
-        )
-    if config.max_patterns is not None and patterns.shape[0] > config.max_patterns:
-        patterns = patterns[: config.max_patterns]
-
-    final = (
-        simulator.run(patterns, target_faults, mode=config.fault_sim_mode)
-        if patterns.size
-        else None
-    )
-    covered = set(final.detected) if final else set()
+        kept = _compact(masks, patterns)
+    else:
+        kept = np.arange(patterns.shape[0])
+    if config.max_patterns is not None:
+        kept = kept[: config.max_patterns]
+    patterns = patterns[kept]
+    kept_bits = sum(1 << int(row) for row in kept)
+    covered = {f for f, mask in zip(target_faults, masks) if mask & kept_bits}
     return TestSet(
         circuit_name=circuit.name,
         patterns=patterns,
@@ -196,24 +197,23 @@ def generate_test_set(
     )
 
 
-def _compact(
-    simulator: FaultSimulator,
-    patterns: np.ndarray,
-    faults: Sequence[StuckAtFault],
-    mode: str = "auto",
-) -> np.ndarray:
-    """Reverse-order static compaction: drop vectors that add no coverage."""
-    full = simulator.run(patterns, faults, drop_detected=True, mode=mode)
-    baseline = set(full.detected)
-    keep = np.ones(patterns.shape[0], dtype=bool)
+def _compact(masks: Sequence[int], patterns: np.ndarray) -> np.ndarray:
+    """Reverse-order static compaction: drop vectors that add no coverage.
+
+    ``masks`` are the faults' detection masks over ``patterns``' rows.  Row
+    *r* is dropped iff every fault it detects is still detected by some
+    other row still kept; returns the kept row indices, ascending.
+    """
+    detected = [mask for mask in masks if mask]
+    keep = (1 << patterns.shape[0]) - 1
     for row in range(patterns.shape[0] - 1, -1, -1):
-        keep[row] = False
-        trial = simulator.run(
-            patterns[keep], list(baseline), drop_detected=True, mode=mode
-        )
-        if set(trial.detected) != baseline:
-            keep[row] = True
-    return patterns[keep]
+        bit = 1 << row
+        trial = keep & ~bit
+        if all(mask & trial for mask in detected if mask & bit):
+            keep = trial
+    return np.array(
+        [row for row in range(patterns.shape[0]) if keep >> row & 1], dtype=np.intp
+    )
 
 
 def uncovered_faults(test_set: TestSet, faults: Sequence[StuckAtFault]) -> List[StuckAtFault]:

@@ -338,6 +338,7 @@ class CompiledCircuit:
         self._edge_starts, self._edge_dst = _build_row_adjacency(
             self.n_nets, self.schedule
         )
+        self._readers: Optional[List[List[int]]] = None
         self._cone_cache: Dict[int, ConeSchedule] = {}
         self._cone_rows_cache: Dict[int, List[int]] = {}
         self._fire_cache: Dict[Tuple[int, ...], Optional[Tuple[GateGroup, ...]]] = {}
@@ -445,12 +446,19 @@ class CompiledCircuit:
         """Row-keyed variant of :meth:`cone_rows` (hot in fault simulation)."""
         cached = self._cone_rows_cache.get(site)
         if cached is None:
-            starts, dst = self._edge_starts, self._edge_dst
+            readers = self._readers
+            if readers is None:
+                # The CSR adjacency as Python lists, built once: per-row
+                # numpy slicing dominates the walk on large cones.
+                starts, dst = self._edge_starts.tolist(), self._edge_dst.tolist()
+                readers = self._readers = [
+                    dst[starts[row] : starts[row + 1]] for row in range(self.n_nets)
+                ]
             seen = {site}
             stack = [site]
             while stack:
                 row = stack.pop()
-                for nxt in dst[starts[row] : starts[row + 1]].tolist():
+                for nxt in readers[row]:
                     if nxt not in seen:
                         seen.add(nxt)
                         stack.append(nxt)
@@ -742,6 +750,7 @@ def _build_patched(
         ).astype(np.intp)
     else:
         comp._edge_starts, comp._edge_dst = parent._edge_starts, parent._edge_dst
+    comp._readers = None
     comp._cone_cache = {}
     comp._cone_rows_cache = {}
     comp._fire_cache = {}

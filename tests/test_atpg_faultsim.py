@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.atpg import FaultSimulator, StuckAtFault, fault_coverage, full_fault_list
+from repro.atpg import (
+    FaultSimulator,
+    StuckAtFault,
+    collapse_faults,
+    fault_coverage,
+    full_fault_list,
+)
+from repro.atpg.faultsim import reference_fault_sim
 from repro.netlist import Circuit, GateType, tie_net_to_constant
 from repro.sim import BitSimulator, exhaustive_patterns
 
@@ -98,3 +105,53 @@ class TestConeRestriction:
         first = set(sim.run(pats[:64], faults, drop_detected=False).detected)
         second = set(sim.run(pats[64:], faults, drop_detected=False).detected)
         assert whole == first | second
+
+
+class TestDetectionMasks:
+    """``detection_masks`` pinned against the block-wise reference oracle."""
+
+    @pytest.mark.parametrize("n_patterns", [1, 63, 64, 65, 200])
+    def test_lowest_bit_is_first_detect(self, c432_circuit, n_patterns):
+        rng = np.random.default_rng(n_patterns)
+        pats = (rng.random((n_patterns, len(c432_circuit.inputs))) < 0.5).astype(np.uint8)
+        faults = collapse_faults(c432_circuit)
+        masks = FaultSimulator(c432_circuit).detection_masks(pats, faults)
+        assert len(masks) == len(faults)
+        # Every suffix of the pattern set: the shifted mask's lowest bit is
+        # the first detection within that suffix, so all bits are pinned.
+        for offset in sorted({0, n_patterns // 2, n_patterns - 1}):
+            ref = reference_fault_sim(c432_circuit, pats[offset:], faults)
+            for fault, mask in zip(faults, masks):
+                mask >>= offset
+                if fault in ref.detected:
+                    assert (mask & -mask).bit_length() - 1 == ref.detected[fault], fault
+                else:
+                    assert mask == 0, fault
+            assert all(m >> n_patterns == 0 for m in masks)
+
+    def test_po_site_and_unexcited_faults(self):
+        c = Circuit("edges")
+        c.add_input("a")
+        c.add_input("b")
+        c.add_gate("one", GateType.TIE1, ())
+        c.add_gate("m", GateType.AND, ("a", "b"))
+        c.add_gate("out", GateType.AND, ("m", "one"))
+        c.set_output("out")
+        c.set_output("a")  # a PI that is also a PO
+        pats = np.array([[0, 0], [1, 1], [1, 0], [0, 1]], dtype=np.uint8)
+        faults = [
+            StuckAtFault("out", 0),  # PO site, excited only by row 1
+            StuckAtFault("out", 1),  # PO site, excited by rows 0, 2, 3
+            StuckAtFault("a", 0),  # PI + PO site
+            StuckAtFault("one", 1),  # constant at its stuck value: never excited
+            StuckAtFault("m", 1),  # detected wherever m = 0
+        ]
+        masks = FaultSimulator(c).detection_masks(pats, faults)
+        assert masks == [0b0010, 0b1101, 0b0110, 0, 0b1101]
+        assert FaultSimulator(c).detection_masks(pats[:0], faults) == [0] * 5
+
+    def test_never_excited_by_constant_patterns(self, c17_circuit):
+        sim = FaultSimulator(c17_circuit)
+        zeros = np.zeros((70, len(c17_circuit.inputs)), dtype=np.uint8)
+        masks = sim.detection_masks(zeros, [StuckAtFault(pi, 0) for pi in c17_circuit.inputs])
+        assert masks == [0] * len(c17_circuit.inputs)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.atpg import (
     AtpgConfig,
@@ -10,8 +12,54 @@ from repro.atpg import (
     generate_test_set,
     uncovered_faults,
 )
+from repro.atpg import generate as generate_module
 from repro.atpg.testability import compute_testability
+from repro.bench import c17, c432_like, c499_like, c880_like
 from repro.netlist import Circuit, GateType
+from tests.test_properties import random_circuits
+
+
+def oracle_compact(simulator, patterns, faults, mode="auto"):
+    """Re-simulating reverse-order compaction, kept as the oracle.
+
+    Re-fault-simulates the baseline fault list once per pattern: drop row
+    *r* iff the remaining rows still detect every fault the full set did.
+    Returns the kept row indices.
+    """
+    full = simulator.run(patterns, faults, drop_detected=True, mode=mode)
+    baseline = set(full.detected)
+    keep = np.ones(patterns.shape[0], dtype=bool)
+    for row in range(patterns.shape[0] - 1, -1, -1):
+        keep[row] = False
+        trial = simulator.run(
+            patterns[keep], list(baseline), drop_detected=True, mode=mode
+        )
+        if set(trial.detected) != baseline:
+            keep[row] = True
+    return np.flatnonzero(keep)
+
+
+def generate_with_oracle(circuit, config, monkeypatch):
+    """Run the flow, and the oracle compaction + coverage on its inputs."""
+    seen = []
+
+    def capture(masks, patterns):
+        seen.append(patterns)
+        return real_compact(masks, patterns)
+
+    real_compact = generate_module._compact
+    monkeypatch.setattr(generate_module, "_compact", capture)
+    ts = generate_test_set(circuit, config)
+    monkeypatch.undo()
+    faults = collapse_faults(circuit)
+    simulator = FaultSimulator(circuit)
+    expected = ts.patterns
+    if seen:
+        (matrix,) = seen
+        kept = oracle_compact(simulator, matrix, faults, config.fault_sim_mode)
+        expected = matrix[kept[: config.max_patterns]]
+    covered = set(simulator.run(expected, faults).detected) if expected.size else set()
+    return ts, expected, covered
 
 
 class TestFlowOnC17:
@@ -38,6 +86,49 @@ class TestFlowOnC17:
         a = generate_test_set(c17_circuit, AtpgConfig(seed=5))
         b = generate_test_set(c17_circuit, AtpgConfig(seed=5))
         assert (a.patterns == b.patterns).all()
+
+
+class TestCompactionOracle:
+    """Mask set cover vs. the re-simulating compaction it replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "build", [c17, c432_like, c499_like, c880_like], ids=lambda f: f.__name__
+    )
+    def test_benchmarks_identical(self, build, seed, monkeypatch):
+        ts, expected, covered = generate_with_oracle(
+            build(), AtpgConfig(seed=seed, backtrack_limit=20), monkeypatch
+        )
+        assert np.array_equal(ts.patterns, expected)
+        assert ts.covered == covered
+        assert ts.detected_faults == len(covered)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        random_circuits(max_gates=16),
+        st.integers(0, 2**31),
+        st.sampled_from([None, 1, 3]),
+    )
+    def test_random_netlists_identical(self, circuit, seed, max_patterns):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            config = AtpgConfig(
+                seed=seed, random_blocks=2, block_size=8, max_patterns=max_patterns
+            )
+            ts, expected, covered = generate_with_oracle(circuit, config, monkeypatch)
+        assert np.array_equal(ts.patterns, expected)
+        assert ts.covered == covered
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(random_circuits(max_gates=16), st.integers(1, 200), st.integers(0, 2**31))
+    def test_random_pattern_sets_identical(self, circuit, n_patterns, seed):
+        rng = np.random.default_rng(seed)
+        patterns = (rng.random((n_patterns, len(circuit.inputs))) < 0.5).astype(np.uint8)
+        faults = collapse_faults(circuit)
+        simulator = FaultSimulator(circuit)
+        kept = generate_module._compact(
+            simulator.detection_masks(patterns, faults), patterns
+        )
+        assert np.array_equal(kept, oracle_compact(simulator, patterns, faults))
 
 
 class TestBudgets:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.atpg import (
     FaultSimulator,
@@ -12,7 +13,70 @@ from repro.atpg import (
     full_fault_list,
     generate_test,
 )
+from repro.atpg.dcalc import X, evaluate3
+from repro.core.thresholds import DefenderModel
 from repro.netlist import Circuit, GateType
+from tests.test_properties import random_circuits
+
+
+def full_imply(engine, assignment, fault):
+    """From-scratch two-plane 3-valued simulation (the oracle for the
+    engine's event-driven implication), over the engine's net positions."""
+    circuit = engine.circuit
+    good, faulty = [], []
+    for net in engine._order:
+        gate = circuit.gate(net)
+        if gate.gate_type is GateType.INPUT:
+            g_val = f_val = assignment.get(net, X)
+        else:
+            ins = [engine._pos[i] for i in gate.inputs]
+            g_val = evaluate3(gate.gate_type, [good[i] for i in ins])
+            f_val = evaluate3(gate.gate_type, [faulty[i] for i in ins])
+        if net == fault.net:
+            f_val = fault.value  # the net is stuck, unconditionally
+        good.append(g_val)
+        faulty.append(f_val)
+    return good, faulty
+
+
+class FullImplyPodem(PodemEngine):
+    """PODEM that re-simulates the whole circuit on every decision."""
+
+    def _imply(self, assignment, fault):
+        return full_imply(self, assignment, fault)
+
+
+def full_d_frontier(engine, good, faulty):
+    """Every gate, in topological order, that is X on a plane and reads a D."""
+    frontier = []
+    for row, net in enumerate(engine._order):
+        gate = engine.circuit.gate(net)
+        if gate.is_input or gate.is_constant:
+            continue
+        if good[row] != X and faulty[row] != X:
+            continue
+        ins = [engine._pos[i] for i in gate.inputs]
+        if any(X not in (good[i], faulty[i]) and good[i] != faulty[i] for i in ins):
+            frontier.append(row)
+    return frontier
+
+
+class CheckedPodem(PodemEngine):
+    """PODEM that checks its incremental planes and its cone-restricted
+    D-frontier after every step."""
+
+    steps = 0
+
+    def _imply(self, assignment, fault):
+        good, faulty = super()._imply(assignment, fault)
+        assert (good, faulty) == full_imply(self, assignment, fault), (fault, assignment)
+        CheckedPodem.steps += 1
+        return good, faulty
+
+    def _d_frontier(self, good, faulty):
+        frontier = super()._d_frontier(good, faulty)
+        assert frontier == full_d_frontier(self, good, faulty)
+        return frontier
 
 
 class TestPodemOnC17:
@@ -93,6 +157,39 @@ class TestBacktrackLimit:
         engine = PodemEngine(c17_circuit, backtrack_limit=100)
         results = [engine.generate(f) for f in full_fault_list(c17_circuit)]
         assert all(r.backtracks <= 100 for r in results)
+
+
+class TestIncrementalImplyOracle:
+    """Event-driven implication vs. full re-simulation on every decision."""
+
+    @pytest.mark.parametrize("circuit_name", ["c432_circuit", "c499_circuit"])
+    def test_results_match_full_imply(self, circuit_name, request):
+        circuit = request.getfixturevalue(circuit_name)
+        limit = DefenderModel().atpg.backtrack_limit
+        engine = PodemEngine(circuit, backtrack_limit=limit)
+        oracle = FullImplyPodem(circuit, backtrack_limit=limit)
+        for fault in collapse_faults(circuit):
+            got, want = engine.generate(fault), oracle.generate(fault)
+            assert (got.status, got.test, got.backtracks, got.decisions) == (
+                want.status,
+                want.test,
+                want.backtracks,
+                want.decisions,
+            ), fault
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(random_circuits(max_gates=16))
+    def test_planes_equal_full_resimulation_every_step(self, circuit):
+        engine = CheckedPodem(circuit, backtrack_limit=8)
+        for fault in full_fault_list(circuit):
+            engine.generate(fault)
+
+    def test_check_really_runs_with_backtracking(self, c432_circuit):
+        CheckedPodem.steps = 0
+        engine = CheckedPodem(c432_circuit, backtrack_limit=10)
+        results = [engine.generate(f) for f in collapse_faults(c432_circuit)[:60]]
+        assert CheckedPodem.steps > len(results)
+        assert any(r.backtracks for r in results)
 
 
 class TestPodemValidity:
