@@ -86,7 +86,7 @@ def test_atpg_generate_and_compaction(monkeypatch):
         )
     )
     oracle_s, oracle_kept = _median_time(
-        lambda: oracle_compact(simulator, patterns, faults, config.fault_sim_mode)
+        lambda: oracle_compact(simulator, patterns, faults)
     )
     assert np.array_equal(kept, oracle_kept), "mask compaction diverged from the oracle"
     speedup = oracle_s / mask_s

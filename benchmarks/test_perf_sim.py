@@ -5,8 +5,10 @@ reference implementations on ISCAS-scale circuits:
 
 * **bitsim** — one bit-parallel pass over ``N_PATTERNS`` random vectors;
   throughput is reported in pattern-gate evaluations per second.
-* **faultsim** — coverage-style run (``drop_detected=False``) of a sampled
-  stuck-at fault list against the same vectors.
+* **faultsim** — ``FaultSimulator.run`` (first detection per fault, read off
+  the detection masks) of a sampled stuck-at fault list against the same
+  vectors, vs. the test-only oracle sweeping every block
+  (``drop_detected=False``).
 * **seqsim** — Monte-Carlo trigger sessions over a counter-Trojan-infected
   c3540-class circuit: compiled sequential schedule vs. the per-gate
   reference dict engine, bit-identity checked in the same run.
@@ -28,7 +30,7 @@ import time
 import numpy as np
 
 from repro.atpg import full_fault_list
-from repro.atpg.faultsim import FaultSimulator, reference_fault_sim
+from repro.atpg.faultsim import FaultSimulator
 from repro.bench import c17, c499_like, c880_like, c1908_like, c3540_like
 from repro.bench.iscas_extra import c6288_like
 from repro.core.pipeline import TrojanZeroPipeline
@@ -40,6 +42,7 @@ from repro.sim.bitsim import (
 )
 from repro.sim.seqsim import ReferenceSequentialSimulator, SequentialSimulator
 from repro.trojan import insert_counter_trojan
+from tests.oracles import reference_fault_sim
 
 from conftest import BENCH_PERF_PATH, update_perf_report
 
@@ -100,8 +103,8 @@ def _bench_circuit(name, build, rng):
         chosen = rng.choice(len(faults), FAULT_SAMPLE, replace=False)
         faults = [faults[i] for i in chosen]
     fsim = FaultSimulator(circuit)
-    fsim.run(patterns, faults, drop_detected=False)  # warm the cone schedules
-    tf_after = _timed(lambda: fsim.run(patterns, faults, drop_detected=False))
+    fsim.run(patterns, faults)  # warm the cone row lists
+    tf_after = _timed(lambda: fsim.run(patterns, faults))
     tf_before = _timed(
         lambda: reference_fault_sim(circuit, patterns, faults, drop_detected=False)
     )
@@ -134,7 +137,8 @@ def test_compiled_engine_throughput():
     update_perf_report("workload", {
         "n_patterns": N_PATTERNS,
         "fault_sample": FAULT_SAMPLE,
-        "faultsim_mode": "coverage (drop_detected=False)",
+        "faultsim_mode": "first detect from detection masks "
+        "(oracle: drop_detected=False)",
         "units": "pattern-gate evaluations per second / fault-patterns per second",
     })
     update_perf_report("circuits", results)

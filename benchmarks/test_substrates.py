@@ -57,7 +57,7 @@ def test_bench_fault_simulation(benchmark, c880, patterns):
     faults = collapse_faults(c880)[:200]
 
     def run():
-        return sim.run(patterns[:64], list(faults), drop_detected=True)
+        return sim.run(patterns[:64], list(faults))
 
     outcome = benchmark(run)
     assert outcome.detected or outcome.undetected

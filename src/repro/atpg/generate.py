@@ -83,9 +83,6 @@ class AtpgConfig:
     max_patterns: Optional[int] = None
     #: Target hardest faults last (SCOAP ordering), like industrial tools.
     order_by_testability: bool = True
-    #: Fault-simulation engine: "auto" (PPSFP for large fault lists),
-    #: "ppsfp", or "single" — all bit-identical (see repro.atpg.ppsfp).
-    fault_sim_mode: str = "auto"
 
 
 def generate_test_set(
@@ -111,7 +108,7 @@ def generate_test_set(
         if not remaining:
             break
         block = (rng.random((config.block_size, n_inputs)) < 0.5).astype(np.uint8)
-        outcome = simulator.run(block, remaining, mode=config.fault_sim_mode)
+        outcome = simulator.run(block, remaining)
         if outcome.detected:
             detecting_rows = sorted({idx for idx in outcome.detected.values()})
             kept_patterns.append(block[detecting_rows])
@@ -147,9 +144,7 @@ def generate_test_set(
                 [[result.test[pi] for pi in circuit.inputs]], dtype=np.uint8
             )
             kept_patterns.append(vector)
-            outcome = simulator.run(
-                vector, remaining[index:], mode=config.fault_sim_mode
-            )
+            outcome = simulator.run(vector, remaining[index:])
             if fault in outcome.undetected:
                 # Defensive: PODEM claimed detection but simulation disagrees
                 # (should not happen); avoid looping forever on this fault.

@@ -1,8 +1,9 @@
 """R3 — backend discipline (RPR301..RPR302).
 
 PR 7 put the compiled engine behind :mod:`repro.sim.backend`: one flag
-moves bitsim, seqsim, PPSFP fault batches, toggle tensors, and the trace
-matmul onto CuPy, and the numpy path stays bit-identical (pinned CI leg).
+moves bitsim, seqsim, fault simulation's good-value pass, toggle tensors,
+and the trace matmul onto CuPy, and the numpy path stays bit-identical
+(pinned CI leg).
 That only holds while kernels obtain the array namespace from the compiled
 form (``compiled.backend.xp``) instead of hard-wiring numpy.  Direct
 ``np.`` use in kernel packages is confined to the *host side*: dtype

@@ -7,7 +7,6 @@ from .bitsim import (
     random_patterns,
     reference_run_packed,
     simulate,
-    tail_mask,
     unpack_patterns,
 )
 from .compiled import (
@@ -46,7 +45,6 @@ __all__ = [
     "exhaustive_patterns",
     "pack_patterns",
     "unpack_patterns",
-    "tail_mask",
     "ComparisonResult",
     "compare_on_patterns",
     "compare_sequential_on_patterns",

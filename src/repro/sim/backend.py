@@ -4,8 +4,8 @@ The compiled form of a circuit is "a ``(n_nets, n_words)`` uint64 matrix plus
 a levelized group schedule" — a shape that maps 1:1 onto GPU tensor
 libraries.  This module abstracts the array namespace behind a tiny
 :class:`ArrayBackend` protocol so one flag moves bit-parallel simulation,
-sequential stepping, PPSFP fault batches, toggle tensors, and the
-trace-matmul path onto a different array library:
+sequential stepping, toggle tensors, and the trace-matmul path onto a
+different array library:
 
 * :class:`NumpyBackend` — the default; every call is a plain NumPy op, so
   the default path is *bit-identical* to the pre-shim engine (asserted by

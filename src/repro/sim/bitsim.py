@@ -34,7 +34,6 @@ __all__ = [
     "pack_patterns",
     "unpack_patterns",
     "toggle_matrix",
-    "tail_mask",
     "reference_run_packed",
     "simulate",
     "random_patterns",
@@ -101,16 +100,6 @@ def toggle_matrix(values: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.bitwise_xor(values[tuple(ahead)], values[tuple(behind)])
 
 
-def tail_mask(n_patterns: int) -> np.ndarray:
-    """Per-word masks selecting only the valid pattern bits."""
-    n_words = (n_patterns + WORD_BITS - 1) // WORD_BITS
-    masks = np.full(n_words, ALL_ONES, dtype=np.uint64)
-    rem = n_patterns % WORD_BITS
-    if rem:
-        masks[-1] = np.uint64((1 << rem) - 1)
-    return masks
-
-
 class BitSimulator:
     """Reusable bit-parallel simulator for a (combinational view of a) circuit.
 
@@ -165,11 +154,6 @@ class BitSimulator:
         """
         patterns = np.atleast_2d(np.asarray(patterns))
         n_patterns = patterns.shape[0]
-        if patterns.shape[1] != len(self.circuit.inputs):
-            raise ValueError(
-                f"expected {len(self.circuit.inputs)} input columns, "
-                f"got {patterns.shape[1]}"
-            )
         values = self._run_matrix(patterns)
         return unpack_patterns(
             self._backend.to_numpy(values[self._compiled.output_idx]), n_patterns

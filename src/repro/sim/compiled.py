@@ -30,13 +30,13 @@ and builds:
 
 Fault-simulation support
 ------------------------
-:meth:`CompiledCircuit.cone_schedule` extracts, per fault site, the sub-set of
-groups restricted to the site's fanout cone (plus the row list to restore and
-the primary-output rows to compare).  Injecting a stuck-at fault is then:
-force the site row, re-evaluate only the cone groups, XOR the cone's output
-rows against the good matrix.  Cone schedules are cached on the compiled
-circuit, so every :class:`~repro.atpg.faultsim.FaultSimulator` built for the
-same (unmutated) circuit shares them.
+Fault simulation (:class:`~repro.atpg.faultsim.FaultSimulator`) runs the full
+schedule once for the good values, then walks each fault site's fanout cone
+one gate at a time on Python ints.  The compiled form supplies what that walk
+needs: :meth:`CompiledCircuit.cone_rows_at`, the site's cone rows in
+topological order, and ``node``, each row's gate type and input rows.  Cone
+row lists are cached on the compiled circuit, so every simulator built for
+the same (unmutated) circuit shares them.
 
 Sequential schedule
 -------------------
@@ -78,7 +78,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -127,22 +127,6 @@ class GateGroup:
     out_idx: np.ndarray
     in_idx: np.ndarray
     out: object
-
-
-@dataclass(frozen=True)
-class ConeSchedule:
-    """Fanout-cone sub-schedule for one fault site.
-
-    ``rows`` lists every row the cone groups write (for cheap restore);
-    ``po_rows`` lists the primary-output rows inside the cone (the detection
-    frontier), excluding the site itself.
-    """
-
-    site: int
-    groups: Tuple[GateGroup, ...]
-    rows: np.ndarray
-    po_rows: np.ndarray
-    site_is_output: bool
 
 
 def _build_row_adjacency(
@@ -305,8 +289,8 @@ class CompiledCircuit:
         )
         self.is_sequential = bool(dff_nets)
 
-        #: Per-net (gate_type, input row indices); None for INPUT/TIE rows.
-        #: Used by scalar-word fallbacks (e.g. single-block fault simulation).
+        #: Per-row (gate_type, input row indices); None for source rows.
+        #: Fault simulation's Python-int cone walk evaluates gates from it.
         self.node: List[object] = [None] * self.n_nets
 
         self.schedule: List[GateGroup] = []
@@ -339,11 +323,8 @@ class CompiledCircuit:
             self.n_nets, self.schedule
         )
         self._readers: Optional[List[List[int]]] = None
-        self._cone_cache: Dict[int, ConeSchedule] = {}
         self._cone_rows_cache: Dict[int, List[int]] = {}
         self._fire_cache: Dict[Tuple[int, ...], Optional[Tuple[GateGroup, ...]]] = {}
-        self._row_sched_pos: Optional[np.ndarray] = None
-        self._cone_groups_cache: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # full-circuit evaluation
@@ -375,10 +356,19 @@ class CompiledCircuit:
         return values
 
     def simulate_packed(self, packed_inputs: np.ndarray) -> np.ndarray:
-        """Simulate ``(n_inputs, n_words)`` packed PI words; returns the matrix."""
+        """Simulate ``(n_inputs, n_words)`` packed PI words; returns the matrix.
+
+        Raises ``ValueError`` unless there is exactly one packed row per PI
+        (one input column per PI before packing).
+        """
         packed_inputs = self.backend.asarray(packed_inputs, dtype=np.uint64)
         if packed_inputs.ndim == 1:
             packed_inputs = packed_inputs.reshape(-1, 1)
+        if packed_inputs.shape[0] != self.input_idx.size:
+            raise ValueError(
+                f"expected {self.input_idx.size} input columns, "
+                f"got {packed_inputs.shape[0]}"
+            )
         n_words = packed_inputs.shape[1]
         values = self.new_matrix(n_words)
         if self.input_idx.size:
@@ -436,14 +426,13 @@ class CompiledCircuit:
         return values[self.dff_clk_idx]
 
     # ------------------------------------------------------------------
-    # fault-cone sub-schedules
+    # fanout cones
     # ------------------------------------------------------------------
-    def cone_rows(self, net: str) -> List[int]:
-        """Topologically-sorted row indices of ``net``'s fanout cone (exclusive)."""
-        return self.cone_rows_at(self.index[net])
-
     def cone_rows_at(self, site: int) -> List[int]:
-        """Row-keyed variant of :meth:`cone_rows` (hot in fault simulation)."""
+        """Topologically-sorted fanout-cone rows of row ``site`` (exclusive).
+
+        Cached per site; hot in fault simulation.
+        """
         cached = self._cone_rows_cache.get(site)
         if cached is None:
             readers = self._readers
@@ -469,11 +458,8 @@ class CompiledCircuit:
 
     def _subschedule_for_rows(self, rows: List[int]) -> Tuple[GateGroup, ...]:
         """Restrict the group schedule to the (sorted) member ``rows``."""
-        return tuple(group for _, group in self._iter_subschedule(rows))
-
-    def _iter_subschedule(self, rows: List[int]):
-        """Yield ``(schedule_position, restricted_group)`` for member ``rows``."""
-        for position, group in enumerate(self.schedule):
+        groups: List[GateGroup] = []
+        for group in self.schedule:
             if isinstance(group.out, slice):
                 # Each full group owns one contiguous row run, so the
                 # member rows inside it form one bisectable span.
@@ -483,7 +469,7 @@ class CompiledCircuit:
                 if hi == lo:
                     continue
                 if hi - lo == stop - start:
-                    yield position, group
+                    groups.append(group)
                     continue
                 keep = np.array(rows[lo:hi], dtype=np.intp) - start
             else:
@@ -498,17 +484,20 @@ class CompiledCircuit:
                 if not mask.any():
                     continue
                 if mask.all():
-                    yield position, group
+                    groups.append(group)
                     continue
                 keep = np.nonzero(mask)[0]
             out_idx = group.out_idx[keep]
-            yield position, GateGroup(
-                level=group.level,
-                gate_type=group.gate_type,
-                out_idx=out_idx,
-                in_idx=group.in_idx[keep],
-                out=out_idx,
+            groups.append(
+                GateGroup(
+                    level=group.level,
+                    gate_type=group.gate_type,
+                    out_idx=out_idx,
+                    in_idx=group.in_idx[keep],
+                    out=out_idx,
+                )
             )
+        return tuple(groups)
 
     def dff_fire_schedule(
         self, fired: Tuple[int, ...]
@@ -534,79 +523,6 @@ class CompiledCircuit:
                 cached = self._subschedule_for_rows(sorted(rows))
             if len(self._fire_cache) < _FIRE_CACHE_MAX:
                 self._fire_cache[fired] = cached
-        return cached
-
-    def cone_schedule(self, net: str) -> ConeSchedule:
-        """Cached fanout-cone sub-schedule for one fault site."""
-        site = self.index[net]
-        cached = self._cone_cache.get(site)
-        if cached is None:
-            rows = self.cone_rows(net)
-            cached = ConeSchedule(
-                site=site,
-                groups=self._subschedule_for_rows(rows),
-                rows=np.array(rows, dtype=np.intp),
-                po_rows=np.array(
-                    [i for i in rows if i in self.po_set], dtype=np.intp
-                ),
-                site_is_output=site in self.po_set,
-            )
-            self._cone_cache[site] = cached
-        return cached
-
-    def run_cone(self, cone: ConeSchedule, values: np.ndarray) -> np.ndarray:
-        """Re-evaluate only the cone's groups in place (site row pre-forced)."""
-        for group in cone.groups:
-            _evaluate_group(group, values)
-        return values
-
-    def batch_cone_schedule(
-        self, sites: Sequence[int]
-    ) -> Tuple[Tuple[GateGroup, ...], np.ndarray, np.ndarray]:
-        """Union-of-cones sub-schedule for a PPSFP fault batch.
-
-        Returns ``(groups, positions, po_rows)``: the levelized sub-schedule
-        restricted to the union of the sites' fanout cones, each group's
-        position in the *full* schedule (so per-site group sets from
-        :meth:`cone_group_positions_at` can be mapped onto the union), and
-        the sorted primary-output rows that can carry a detection — the PO
-        rows inside the union plus any site that is itself a PO.  Evaluating
-        ``groups`` once on a matrix whose site rows are forced propagates
-        *all* the batch's faults in one sweep (see :mod:`repro.atpg.ppsfp`,
-        which owns the per-group site re-forcing this requires).
-        """
-        rows: set = set()
-        for site in sites:
-            rows.update(self.cone_rows_at(int(site)))
-        pairs = list(self._iter_subschedule(sorted(rows)))
-        groups = tuple(group for _, group in pairs)
-        positions = np.array([pos for pos, _ in pairs], dtype=np.intp)
-        po = {row for row in rows if row in self.po_set}
-        po.update(int(site) for site in sites if int(site) in self.po_set)
-        return groups, positions, np.array(sorted(po), dtype=np.intp)
-
-    def row_schedule_positions(self) -> np.ndarray:
-        """Row -> position of the full-schedule group that writes it (-1: none)."""
-        if self._row_sched_pos is None:
-            positions = np.full(self.n_nets, -1, dtype=np.intp)
-            for gpos, group in enumerate(self.schedule):
-                if isinstance(group.out, slice):
-                    positions[group.out] = gpos
-                else:
-                    positions[group.out_idx] = gpos
-            self._row_sched_pos = positions
-        return self._row_sched_pos
-
-    def cone_group_positions_at(self, site: int) -> np.ndarray:
-        """Sorted full-schedule positions of the groups writing ``site``'s cone.
-
-        Cached per site — this is the static half of PPSFP batch planning.
-        """
-        cached = self._cone_groups_cache.get(site)
-        if cached is None:
-            rows = np.asarray(self.cone_rows_at(site), dtype=np.intp)
-            cached = np.unique(self.row_schedule_positions()[rows])
-            self._cone_groups_cache[site] = cached
         return cached
 
 
@@ -751,11 +667,8 @@ def _build_patched(
     else:
         comp._edge_starts, comp._edge_dst = parent._edge_starts, parent._edge_dst
     comp._readers = None
-    comp._cone_cache = {}
     comp._cone_rows_cache = {}
     comp._fire_cache = {}
-    comp._row_sched_pos = None
-    comp._cone_groups_cache = {}
     return comp
 
 

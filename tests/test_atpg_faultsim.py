@@ -10,9 +10,9 @@ from repro.atpg import (
     fault_coverage,
     full_fault_list,
 )
-from repro.atpg.faultsim import reference_fault_sim
 from repro.netlist import Circuit, GateType, tie_net_to_constant
 from repro.sim import BitSimulator, exhaustive_patterns
+from tests.oracles import reference_fault_sim
 
 
 def brute_force_detects(circuit, pattern, fault):
@@ -41,7 +41,7 @@ class TestAgainstBruteForce:
         faults = full_fault_list(c17_circuit)
         pats = exhaustive_patterns(5)
         sim = FaultSimulator(c17_circuit)
-        outcome = sim.run(pats, faults, drop_detected=False)
+        outcome = sim.run(pats, faults)
         for fault in faults:
             expected = any(
                 brute_force_detects(c17_circuit, pats[k], fault)
@@ -65,9 +65,11 @@ class TestFaultDropping:
         faults = full_fault_list(c17_circuit)
         pats = exhaustive_patterns(5)
         sim = FaultSimulator(c17_circuit)
-        dropped = sim.run(pats, faults, drop_detected=True)
-        kept = sim.run(pats, faults, drop_detected=False)
-        assert set(dropped.detected) == set(kept.detected)
+        outcome = sim.run(pats, faults)
+        # The oracle with and without dropping: same faults, same first index.
+        for drop in (True, False):
+            want = reference_fault_sim(c17_circuit, pats, faults, drop_detected=drop)
+            assert outcome.detected == want.detected
 
     def test_coverage_metric(self, c17_circuit):
         pats = exhaustive_patterns(5)
@@ -101,9 +103,9 @@ class TestConeRestriction:
         faults = full_fault_list(c432_circuit)[:60]
         pats = (rng.random((130, 32)) < 0.5).astype(np.uint8)
         sim = FaultSimulator(c432_circuit)
-        whole = set(sim.run(pats, faults, drop_detected=False).detected)
-        first = set(sim.run(pats[:64], faults, drop_detected=False).detected)
-        second = set(sim.run(pats[64:], faults, drop_detected=False).detected)
+        whole = set(sim.run(pats, faults).detected)
+        first = set(sim.run(pats[:64], faults).detected)
+        second = set(sim.run(pats[64:], faults).detected)
         assert whole == first | second
 
 

@@ -19,21 +19,19 @@ from repro.netlist import Circuit, GateType
 from tests.test_properties import random_circuits
 
 
-def oracle_compact(simulator, patterns, faults, mode="auto"):
+def oracle_compact(simulator, patterns, faults):
     """Re-simulating reverse-order compaction, kept as the oracle.
 
     Re-fault-simulates the baseline fault list once per pattern: drop row
     *r* iff the remaining rows still detect every fault the full set did.
     Returns the kept row indices.
     """
-    full = simulator.run(patterns, faults, drop_detected=True, mode=mode)
+    full = simulator.run(patterns, faults)
     baseline = set(full.detected)
     keep = np.ones(patterns.shape[0], dtype=bool)
     for row in range(patterns.shape[0] - 1, -1, -1):
         keep[row] = False
-        trial = simulator.run(
-            patterns[keep], list(baseline), drop_detected=True, mode=mode
-        )
+        trial = simulator.run(patterns[keep], list(baseline))
         if set(trial.detected) != baseline:
             keep[row] = True
     return np.flatnonzero(keep)
@@ -56,7 +54,7 @@ def generate_with_oracle(circuit, config, monkeypatch):
     expected = ts.patterns
     if seen:
         (matrix,) = seen
-        kept = oracle_compact(simulator, matrix, faults, config.fault_sim_mode)
+        kept = oracle_compact(simulator, matrix, faults)
         expected = matrix[kept[: config.max_patterns]]
     covered = set(simulator.run(expected, faults).detected) if expected.size else set()
     return ts, expected, covered

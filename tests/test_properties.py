@@ -191,7 +191,7 @@ class TestFaultSimProperties:
         internal = [g.name for g in circuit.logic_gates()]
         victim = internal[rng.integers(len(internal))]
         fault = StuckAtFault(victim, int(rng.integers(2)))
-        outcome = FaultSimulator(circuit).run(patterns, [fault], drop_detected=False)
+        outcome = FaultSimulator(circuit).run(patterns, [fault])
         faulty = circuit.copy("faulty")
         tie_net_to_constant(faulty, fault.net, fault.value)
         differs = not compare_on_patterns(circuit, faulty, patterns).equivalent

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.atpg import FaultSimulator, full_fault_list
-from repro.atpg.faultsim import reference_fault_sim
 from repro.bench import c17, c432_like, c880_like
 from repro.netlist import Circuit, GateType
 from repro.netlist.transform import strip_dead_logic, tie_net_to_constant
@@ -23,6 +22,7 @@ from repro.sim.compiled import COMPILE_STATS, CompiledCircuit
 from repro.sim.seqsim import ReferenceSequentialSimulator, SequentialSimulator
 from repro.trojan import insert_counter_trojan
 from repro.trojan.trigger import monte_carlo_pft
+from tests.oracles import reference_fault_sim
 
 
 def infected_c17(n_bits=2):
@@ -263,7 +263,7 @@ class TestStructuralCompileCache:
         faults = full_fault_list(trial)[::7]
         rng = np.random.default_rng(3)
         pats = (rng.random((96, len(trial.inputs))) < 0.5).astype(np.uint8)
-        got = FaultSimulator(trial).run(pats, faults, drop_detected=False)
+        got = FaultSimulator(trial).run(pats, faults)
         want = reference_fault_sim(trial, pats, faults, drop_detected=False)
         assert got.detected == want.detected
         assert got.undetected == want.undetected

@@ -3,15 +3,21 @@
 The compiled engine (``repro.sim.compiled``) must be bit-exact against the
 retained per-gate reference implementations on randomized circuits and on the
 bundled ISCAS-like benches, for both plain bit-parallel simulation and
-stuck-at fault simulation (single-word fast path, pre-drop hybrid, and the
-whole-matrix coverage path).
+stuck-at fault simulation (on both sides of the 64-pattern word boundary).
+It also pins the array-backend selector and the pattern-width check shared by
+every simulation entry point.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.atpg import FaultSimulator, full_fault_list
-from repro.atpg.faultsim import reference_fault_sim
 from repro.bench import c17, c432_like, c499_like, c880_like
 from repro.netlist import Circuit, GateType
 from repro.sim import (
@@ -21,6 +27,8 @@ from repro.sim import (
     reference_run_packed,
     unpack_patterns,
 )
+from repro.sim.backend import NumpyBackend, available_backends, get_backend
+from tests.oracles import reference_fault_sim
 
 _GATE_CHOICES = [
     GateType.AND,
@@ -102,15 +110,24 @@ class TestBitSimEquivalence:
             assert (selected[:, col] == full[net]).all()
 
 
+def _sample_faults(circuit: Circuit, n: int, seed: int):
+    faults = full_fault_list(circuit)
+    chosen = np.random.default_rng(seed).choice(len(faults), n, replace=False)
+    return [faults[i] for i in sorted(chosen)]
+
+
 class TestFaultSimEquivalence:
+    """``FaultSimulator.run`` against the oracle, with and without its
+    fault dropping (both report the first detecting pattern)."""
+
     @pytest.mark.parametrize("seed", range(12))
-    @pytest.mark.parametrize("n_patterns", [33, 130])
+    @pytest.mark.parametrize("n_patterns", [1, 33, 64, 65, 130, 200])
     @pytest.mark.parametrize("drop", [True, False])
     def test_random_circuits(self, seed, n_patterns, drop):
         circuit = random_circuit(seed, max_gates=16)
         faults = full_fault_list(circuit)
         patterns = _patterns(circuit, n_patterns, seed)
-        got = FaultSimulator(circuit).run(patterns, faults, drop_detected=drop)
+        got = FaultSimulator(circuit).run(patterns, faults)
         want = reference_fault_sim(circuit, patterns, faults, drop_detected=drop)
         assert got.detected == want.detected  # same faults AND same first index
         assert got.undetected == want.undetected
@@ -118,12 +135,17 @@ class TestFaultSimEquivalence:
 
     @pytest.mark.parametrize("drop", [True, False])
     def test_bundled_bench(self, c432_circuit, drop):
-        faults = full_fault_list(c432_circuit)[::5]
-        patterns = _patterns(c432_circuit, 150)
-        got = FaultSimulator(c432_circuit).run(patterns, faults, drop_detected=drop)
-        want = reference_fault_sim(c432_circuit, patterns, faults, drop_detected=drop)
-        assert got.detected == want.detected
-        assert set(got.undetected) == set(want.undetected)
+        c880 = c880_like()
+        cases = [
+            (c432_circuit, full_fault_list(c432_circuit)[::5], 150),
+            (c880, _sample_faults(c880, 128, 42), 256),
+        ]
+        for circuit, faults, n_patterns in cases:
+            patterns = _patterns(circuit, n_patterns)
+            got = FaultSimulator(circuit).run(patterns, faults)
+            want = reference_fault_sim(circuit, patterns, faults, drop_detected=drop)
+            assert got.detected == want.detected, circuit.name
+            assert got.undetected == want.undetected, circuit.name
 
 
 class TestPackingVectorized:
@@ -178,3 +200,81 @@ class TestCompilationCache:
         scheduled = sum(group.out_idx.size for group in compiled.schedule)
         constants = compiled.tie0_idx.size + compiled.tie1_idx.size
         assert scheduled + constants == c880_circuit.num_logic_gates
+
+
+class TestPatternWidth:
+    """Every entry point rejects a pattern matrix of the wrong width
+    (``BitSimulator.run`` is covered in ``tests/test_sim_bitsim.py``)."""
+
+    ENTRY_POINTS = {
+        "BitSimulator.run_full": lambda c, p: BitSimulator(c).run_full(p),
+        "BitSimulator.run_nets": lambda c, p: BitSimulator(c).run_nets(p, ["N22"]),
+        "FaultSimulator.run": lambda c, p: FaultSimulator(c).run(p, full_fault_list(c)),
+        "FaultSimulator.detection_masks": lambda c, p: FaultSimulator(
+            c
+        ).detection_masks(p, full_fault_list(c)),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("n_columns", [1, 3, 6])
+    def test_wrong_width_rejected(self, c17_circuit, entry, n_columns):
+        patterns = _patterns(c17_circuit, 8)[:, :1].repeat(n_columns, axis=1)
+        with pytest.raises(ValueError, match=f"expected 5 input columns, got {n_columns}"):
+            self.ENTRY_POINTS[entry](c17_circuit, patterns)
+
+
+class TestBackendParity:
+    def test_numpy_env_var_is_byte_identical(self):
+        """``REPRO_ARRAY_BACKEND=numpy`` must not perturb a single bit.
+
+        Run the same seeded fault simulation in a subprocess with the env var
+        set and compare the full detection map against the in-process default.
+        """
+        circuit = random_circuit(11)
+        patterns = _patterns(circuit, 130, 11)
+        here = FaultSimulator(circuit).run(patterns, full_fault_list(circuit))
+        expected = sorted((f.net, f.value, idx) for f, idx in here.detected.items())
+
+        script = (
+            "import json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from tests.test_sim_compiled import random_circuit, _patterns\n"
+            "from repro.atpg import FaultSimulator, full_fault_list\n"
+            "circuit = random_circuit(11)\n"
+            "patterns = _patterns(circuit, 130, 11)\n"
+            "out = FaultSimulator(circuit).run(patterns, full_fault_list(circuit))\n"
+            "rows = sorted((f.net, f.value, i) for f, i in out.detected.items())\n"
+            "print(json.dumps(rows))\n"
+        )
+        repo_root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, REPRO_ARRAY_BACKEND="numpy")
+        env["PYTHONPATH"] = str(repo_root / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(repo_root)],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        got = [tuple(row) for row in json.loads(proc.stdout)]
+        assert got == expected
+
+    def test_explicit_numpy_backend_matches_default(self):
+        circuit = random_circuit(12)
+        patterns = _patterns(circuit, 96, 12)
+        faults = full_fault_list(circuit)
+        default = FaultSimulator(circuit).run(patterns, faults)
+        explicit = FaultSimulator(circuit, backend=NumpyBackend()).run(patterns, faults)
+        assert default.detected == explicit.detected
+        assert default.undetected == explicit.undetected
+
+    def test_unknown_backend_rejected_with_choices(self):
+        with pytest.raises(ValueError, match="numpy"):
+            get_backend("tpu")
+
+    def test_cupy_guard(self):
+        """Without CuPy installed, selecting it must raise cleanly (no crash)."""
+        if "cupy" in available_backends():
+            pytest.skip("CuPy present; guard path not reachable")
+        with pytest.raises(ValueError, match="cupy"):
+            get_backend("cupy")
