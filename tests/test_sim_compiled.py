@@ -110,12 +110,6 @@ class TestBitSimEquivalence:
             assert (selected[:, col] == full[net]).all()
 
 
-def _sample_faults(circuit: Circuit, n: int, seed: int):
-    faults = full_fault_list(circuit)
-    chosen = np.random.default_rng(seed).choice(len(faults), n, replace=False)
-    return [faults[i] for i in sorted(chosen)]
-
-
 class TestFaultSimEquivalence:
     """``FaultSimulator.run`` against the oracle, with and without its
     fault dropping (both report the first detecting pattern)."""
@@ -135,17 +129,12 @@ class TestFaultSimEquivalence:
 
     @pytest.mark.parametrize("drop", [True, False])
     def test_bundled_bench(self, c432_circuit, drop):
-        c880 = c880_like()
-        cases = [
-            (c432_circuit, full_fault_list(c432_circuit)[::5], 150),
-            (c880, _sample_faults(c880, 128, 42), 256),
-        ]
-        for circuit, faults, n_patterns in cases:
-            patterns = _patterns(circuit, n_patterns)
-            got = FaultSimulator(circuit).run(patterns, faults)
-            want = reference_fault_sim(circuit, patterns, faults, drop_detected=drop)
-            assert got.detected == want.detected, circuit.name
-            assert got.undetected == want.undetected, circuit.name
+        faults = full_fault_list(c432_circuit)[::5]
+        patterns = _patterns(c432_circuit, 150)
+        got = FaultSimulator(c432_circuit).run(patterns, faults)
+        want = reference_fault_sim(c432_circuit, patterns, faults, drop_detected=drop)
+        assert got.detected == want.detected
+        assert got.undetected == want.undetected
 
 
 class TestPackingVectorized:
