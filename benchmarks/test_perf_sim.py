@@ -34,15 +34,14 @@ from repro.atpg.faultsim import FaultSimulator
 from repro.bench import c17, c499_like, c880_like, c1908_like, c3540_like
 from repro.bench.iscas_extra import c6288_like
 from repro.core.pipeline import TrojanZeroPipeline
-from repro.sim.bitsim import (
-    BitSimulator,
-    pack_patterns,
-    reference_run_packed,
-    unpack_patterns,
-)
-from repro.sim.seqsim import ReferenceSequentialSimulator, SequentialSimulator
+from repro.sim.bitsim import BitSimulator, pack_patterns, unpack_patterns
+from repro.sim.seqsim import SequentialSimulator
 from repro.trojan import insert_counter_trojan
-from tests.oracles import reference_fault_sim
+from tests.oracles import (
+    ReferenceSequentialSimulator,
+    reference_fault_sim,
+    reference_run_packed,
+)
 
 from conftest import BENCH_PERF_PATH, update_perf_report
 

@@ -132,6 +132,12 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not 0.5 < self.pth <= 1.0:
             raise ValueError(f"pth must be in (0.5, 1.0], got {self.pth}")
+        if self.seed is not None and (
+            type(self.seed) is bool or not isinstance(self.seed, int) or self.seed < 0
+        ):
+            raise ValueError(
+                f"seed must be None or a non-negative int, got {self.seed!r}"
+            )
         if self.mc_sessions < 0:
             raise ValueError(f"mc_sessions must be >= 0, got {self.mc_sessions}")
 

@@ -73,11 +73,11 @@ class FaultSimResult:
 class FaultSimulator:
     """Cone-restricted stuck-at fault simulator on detection masks."""
 
-    def __init__(self, circuit: Circuit, backend=None) -> None:
+    def __init__(self, circuit: Circuit) -> None:
         if circuit.is_sequential:
             raise NetlistError("fault simulation supports combinational circuits only")
         self.circuit = circuit
-        self._compiled: CompiledCircuit = compile_circuit(circuit, backend)
+        self._compiled: CompiledCircuit = compile_circuit(circuit)
 
     def _detect_mask(self, site: int, stuck: int, good: List[int], mask: int) -> int:
         """Python-int cone walk: bit *p* set iff pattern *p* detects the fault.
@@ -140,7 +140,7 @@ class FaultSimulator:
         if n_patterns == 0:
             return [0] * len(faults)
         matrix = self._compiled.simulate_packed(pack_patterns(patterns))
-        host = np.ascontiguousarray(self._compiled.backend.to_numpy(matrix), dtype="<u8")
+        host = np.ascontiguousarray(matrix, dtype="<u8")
         data = host.tobytes()
         width = host.shape[1] * 8
         full = (1 << n_patterns) - 1

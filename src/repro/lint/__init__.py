@@ -12,8 +12,6 @@ package machine-checks them over ``src/`` as ``repro lint`` (or
 ``RPR103`` ``rng`` truthiness default (use ``if rng is None``)
 ``RPR201`` nondeterministic value flows into a record payload field
 ``RPR202`` ``runtime``/``traces`` diagnostics read back into a payload
-``RPR301`` kernel module imports numpy other than ``import numpy as np``
-``RPR302`` kernel ``np.<attr>`` outside the host-side surface
 ``RPR401`` third-party import in the stdlib-only service package
 ``RPR402`` lock-guarded shared state mutated outside ``with self._lock:``
 =========  ==============================================================
@@ -21,9 +19,7 @@ package machine-checks them over ``src/`` as ``repro lint`` (or
 R1 (101-103) protects seed discipline — all randomness flows from
 ``derive_seed``, the root of PR 3's parallel==serial payload-bit-parity.
 R2 (201-202) protects payload purity — the soundness condition of PR 8's
-fleet-wide spec-hash result cache.  R3 (301-302) protects PR 7's backend
-bit-identity: kernels obtain their array namespace from
-``repro.sim.backend``.  R4 (401-402) protects the fleet service's
+fleet-wide spec-hash result cache.  R4 (401-402) protects the fleet service's
 stdlib-only deployability and its job-table lock discipline.
 
 The checker is purely syntactic (stdlib ``ast``; checked code is never
@@ -52,7 +48,6 @@ from .registry import RULES, Rule, run_rules
 # Importing the rule modules registers their checks.
 from . import rules_seed  # noqa: F401,E402  (registration side effect)
 from . import rules_payload  # noqa: F401,E402
-from . import rules_backend  # noqa: F401,E402
 from . import rules_service  # noqa: F401,E402
 
 from .cli import lint_file, lint_paths, main, run_lint  # noqa: E402
@@ -67,7 +62,7 @@ def lint_source(
     """Lint an in-memory source string (the fixture-test entry point).
 
     ``module`` sets the dotted module name scoped rules key on (e.g.
-    ``"repro.sim.example"`` puts the fixture inside the kernel scope);
+    ``"repro.service.example"`` puts the fixture inside the service scope);
     when omitted it is inferred from ``path``.
     """
     ctx = ModuleContext(source, path=path, module=module)

@@ -5,7 +5,6 @@ from .bitsim import (
     exhaustive_patterns,
     pack_patterns,
     random_patterns,
-    reference_run_packed,
     simulate,
     unpack_patterns,
 )
@@ -23,11 +22,7 @@ from .equivalence import (
     compare_sequential_on_patterns,
     functional_test,
 )
-from .seqsim import (
-    ReferenceSequentialSimulator,
-    SequentialSimulator,
-    reference_step_packed,
-)
+from .seqsim import SequentialSimulator
 
 __all__ = [
     "BitSimulator",
@@ -36,9 +31,6 @@ __all__ = [
     "CompileStats",
     "GateGroup",
     "compile_circuit",
-    "reference_run_packed",
-    "reference_step_packed",
-    "ReferenceSequentialSimulator",
     "SequentialSimulator",
     "simulate",
     "random_patterns",

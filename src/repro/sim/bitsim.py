@@ -14,18 +14,21 @@ The public entry points accept/return numpy arrays:
 from __future__ import annotations
 
 import sys
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from ..netlist.circuit import Circuit, NetlistError
-from ..netlist.gate import GateType
-from .backend import ALL_ONES, FULL_MASK, WORD_BITS
-from .compiled import CompiledCircuit, compile_circuit
+from .compiled import (
+    ALL_ONES,
+    FULL_MASK,
+    WORD_BITS,
+    CompiledCircuit,
+    compile_circuit,
+)
 
-# Single home of the 64-bit word constants (defined in ``repro.sim.backend``
-# beside the array namespace, re-exported here as the stable import point
-# for the rest of the package).
+# The 64-bit word constants live in ``repro.sim.compiled``; they are
+# re-exported here as the stable import point for the rest of the package.
 __all__ = [
     "ALL_ONES",
     "FULL_MASK",
@@ -34,7 +37,6 @@ __all__ = [
     "pack_patterns",
     "unpack_patterns",
     "toggle_matrix",
-    "reference_run_packed",
     "simulate",
     "random_patterns",
     "exhaustive_patterns",
@@ -111,14 +113,13 @@ class BitSimulator:
     so constructing many simulators for the same circuit is cheap.
     """
 
-    def __init__(self, circuit: Circuit, backend=None) -> None:
+    def __init__(self, circuit: Circuit) -> None:
         if circuit.is_sequential:
             raise NetlistError(
                 f"{circuit.name!r} contains DFFs; use SequentialSimulator"
             )
         self.circuit = circuit
-        self._compiled: CompiledCircuit = compile_circuit(circuit, backend)
-        self._backend = self._compiled.backend
+        self._compiled: CompiledCircuit = compile_circuit(circuit)
         self._order = self._compiled.order
 
     def run_packed(self, packed_inputs: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
@@ -129,11 +130,8 @@ class BitSimulator:
         n_words = len(next(iter(packed_inputs.values()))) if packed_inputs else 1
         values = self._compiled.new_matrix(n_words)
         for i, pi in enumerate(self.circuit.inputs):
-            values[self._compiled.input_idx[i]] = self._backend.asarray(
-                packed_inputs[pi], dtype=np.uint64
-            )
+            values[self._compiled.input_idx[i]] = packed_inputs[pi]
         self._compiled.run_matrix(values)
-        values = self._backend.to_numpy(values)
         # A patched/shared compiled form may carry rows for dead-stripped
         # nets; report only nets the circuit actually has.
         return {
@@ -155,16 +153,14 @@ class BitSimulator:
         patterns = np.atleast_2d(np.asarray(patterns))
         n_patterns = patterns.shape[0]
         values = self._run_matrix(patterns)
-        return unpack_patterns(
-            self._backend.to_numpy(values[self._compiled.output_idx]), n_patterns
-        )
+        return unpack_patterns(values[self._compiled.output_idx], n_patterns)
 
     def run_full(self, patterns: np.ndarray) -> Dict[str, np.ndarray]:
         """Like :meth:`run` but returns every net, unpacked, keyed by name."""
         patterns = np.atleast_2d(np.asarray(patterns))
         n_patterns = patterns.shape[0]
         values = self._run_matrix(patterns)
-        unpacked = unpack_patterns(self._backend.to_numpy(values), n_patterns)
+        unpacked = unpack_patterns(values, n_patterns)
         return {
             net: unpacked[:, i]
             for i, net in enumerate(self._order)
@@ -181,64 +177,7 @@ class BitSimulator:
         n_patterns = patterns.shape[0]
         values = self._run_matrix(patterns)
         rows = np.array([self._compiled.index[net] for net in nets], dtype=np.intp)
-        return unpack_patterns(self._backend.to_numpy(values[rows]), n_patterns)
-
-
-def _eval_packed(
-    gate_type: GateType, inputs: List[np.ndarray], ones: np.ndarray
-) -> np.ndarray:
-    """Evaluate one gate on packed uint64 vectors."""
-    if gate_type is GateType.AND or gate_type is GateType.NAND:
-        acc = inputs[0].copy()
-        for word in inputs[1:]:
-            acc &= word
-        return (acc ^ ones) if gate_type is GateType.NAND else acc
-    if gate_type is GateType.OR or gate_type is GateType.NOR:
-        acc = inputs[0].copy()
-        for word in inputs[1:]:
-            acc |= word
-        return (acc ^ ones) if gate_type is GateType.NOR else acc
-    if gate_type is GateType.XOR or gate_type is GateType.XNOR:
-        acc = inputs[0].copy()
-        for word in inputs[1:]:
-            acc ^= word
-        return (acc ^ ones) if gate_type is GateType.XNOR else acc
-    if gate_type is GateType.NOT:
-        return inputs[0] ^ ones
-    if gate_type is GateType.BUFF:
-        return inputs[0].copy()
-    if gate_type is GateType.MUX:
-        d0, d1, sel = inputs
-        return (d0 & (sel ^ ones)) | (d1 & sel)
-    raise NetlistError(f"cannot bit-simulate gate type {gate_type}")
-
-
-def reference_run_packed(
-    circuit: Circuit, packed_inputs: Dict[str, np.ndarray]
-) -> Dict[str, np.ndarray]:
-    """Per-gate interpreter (the pre-compiled engine), kept as a reference.
-
-    Walks the netlist dict one gate at a time.  Used by the differential
-    tests in ``tests/test_sim_compiled.py`` and as the "before" measurement
-    in ``benchmarks/test_perf_sim.py``; production code should go through
-    :class:`BitSimulator` instead.
-    """
-    n_words = len(next(iter(packed_inputs.values()))) if packed_inputs else 1
-    values: Dict[str, np.ndarray] = {}
-    ones = np.full(n_words, ALL_ONES, dtype=np.uint64)
-    zeros = np.zeros(n_words, dtype=np.uint64)
-    for net in circuit.topological_order():
-        gate = circuit.gate(net)
-        gt = gate.gate_type
-        if gt is GateType.INPUT:
-            values[net] = np.asarray(packed_inputs[net], dtype=np.uint64)
-        elif gt is GateType.TIE0:
-            values[net] = zeros
-        elif gt is GateType.TIE1:
-            values[net] = ones
-        else:
-            values[net] = _eval_packed(gt, [values[i] for i in gate.inputs], ones)
-    return values
+        return unpack_patterns(values[rows], n_patterns)
 
 
 def simulate(circuit: Circuit, patterns: np.ndarray) -> np.ndarray:

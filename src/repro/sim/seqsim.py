@@ -33,11 +33,6 @@ whole ``(n_seqs, n_steps, n_inputs)`` sequence block with one
 ``np.packbits`` call, steps the matrix, gathers only the *watched* net rows
 per step, and unpacks them in a handful of chunked ``np.unpackbits`` calls —
 no per-net, per-step Python bit extraction anywhere.
-
-The pre-compiled per-gate dict interpreter is retained as
-:func:`reference_step_packed` / :class:`ReferenceSequentialSimulator` for
-differential testing and before/after benchmarking; production code should
-use :class:`SequentialSimulator`.
 """
 
 from __future__ import annotations
@@ -47,8 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..netlist.circuit import Circuit
-from ..netlist.gate import GateType
-from .bitsim import ALL_ONES, _eval_packed, pack_patterns, unpack_patterns
+from .bitsim import pack_patterns, unpack_patterns
 from .compiled import CompiledCircuit, compile_circuit
 
 #: Word budget for the per-chunk watched-row buffer of
@@ -64,10 +58,9 @@ class SequentialSimulator:
     so functional-testing code can treat N, N' and N'' uniformly.
     """
 
-    def __init__(self, circuit: Circuit, backend=None) -> None:
+    def __init__(self, circuit: Circuit) -> None:
         self.circuit = circuit
-        self._compiled: CompiledCircuit = compile_circuit(circuit, backend)
-        self._backend = self._compiled.backend
+        self._compiled: CompiledCircuit = compile_circuit(circuit)
         self._dffs: List[str] = list(self._compiled.dff_names)
         self._state: Optional[np.ndarray] = None
         self._prev_clk: Optional[np.ndarray] = None
@@ -81,9 +74,7 @@ class SequentialSimulator:
     def reset(self, n_sequences: int) -> None:
         """Zero all flip-flop states for ``n_sequences`` parallel sequences."""
         self._n_words = (n_sequences + 63) // 64
-        self._state = self._backend.xp.zeros(
-            (len(self._dffs), self._n_words), dtype=np.uint64
-        )
+        self._state = np.zeros((len(self._dffs), self._n_words), dtype=np.uint64)
         self._prev_clk = None
         self._values = self._compiled.new_matrix(self._n_words)
 
@@ -123,7 +114,7 @@ class SequentialSimulator:
             )
         else:
             packed = np.zeros((0, self._n_words), dtype=np.uint64)
-        values = self._backend.to_numpy(self._step_matrix(packed))
+        values = self._step_matrix(packed)
         index = self._compiled.index
         return {
             net: values[index[net]].copy()
@@ -176,7 +167,7 @@ class SequentialSimulator:
                 self._step_matrix(packed_steps[t])
             return out
         chunk = max(1, _CHUNK_WORD_BUDGET // (rows.size * max(n_words, 1)))
-        buffer = self._backend.xp.empty(
+        buffer = np.empty(
             (min(chunk, n_steps), rows.size, n_words), dtype=np.uint64
         )
         t = 0
@@ -186,10 +177,7 @@ class SequentialSimulator:
                 values = self._step_matrix(packed_steps[t + k])
                 buffer[k] = values[rows]
             unpacked = unpack_patterns(
-                self._backend.to_numpy(
-                    buffer[:span].reshape(span * rows.size, n_words)
-                ),
-                n_seqs,
+                buffer[:span].reshape(span * rows.size, n_words), n_seqs
             )
             out[:, t : t + span, :] = unpacked.reshape(n_seqs, span, rows.size)
             t += span
@@ -212,144 +200,6 @@ class SequentialSimulator:
         batched unpack (via :meth:`run_sequences_nets`), not one bit per net
         per step.
         """
-        sequence = np.atleast_2d(np.asarray(sequence))
-        traces = self.run_sequences_nets(sequence[np.newaxis], list(watch))[0]
-        return {net: traces[:, i].copy() for i, net in enumerate(watch)}
-
-
-# ----------------------------------------------------------------------
-# reference dict engine (pre-compiled implementation, kept for tests)
-# ----------------------------------------------------------------------
-def _reference_settle(
-    circuit: Circuit,
-    packed_inputs: Dict[str, np.ndarray],
-    state: Dict[str, np.ndarray],
-    n_words: int,
-) -> Dict[str, np.ndarray]:
-    """Evaluate every net one dict-gate at a time (the original engine)."""
-    ones = np.full(n_words, ALL_ONES, dtype=np.uint64)
-    zeros = np.zeros(n_words, dtype=np.uint64)
-    values: Dict[str, np.ndarray] = {}
-    for net in circuit.topological_order():
-        gate = circuit.gate(net)
-        gt = gate.gate_type
-        if gt is GateType.INPUT:
-            values[net] = packed_inputs[net]
-        elif gt is GateType.DFF:
-            values[net] = state[net]
-        elif gt is GateType.TIE0:
-            values[net] = zeros
-        elif gt is GateType.TIE1:
-            values[net] = ones
-        else:
-            values[net] = _eval_packed(gt, [values[i] for i in gate.inputs], ones)
-    return values
-
-
-def reference_step_packed(
-    circuit: Circuit,
-    packed_inputs: Dict[str, np.ndarray],
-    state: Dict[str, np.ndarray],
-    prev_clk: Optional[Dict[str, np.ndarray]],
-    n_words: int,
-) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-    """One edge-driven vector step of the per-gate dict engine.
-
-    Pure-functional reference for differential tests: takes the flip-flop
-    ``state`` and previous clock snapshot, returns ``(settled values, new
-    state, new clock snapshot)``.  Production code should use
-    :class:`SequentialSimulator`, which is bit-identical but runs on the
-    compiled levelized schedule.
-    """
-    dffs = [g.name for g in circuit.gates() if g.gate_type is GateType.DFF]
-    values = _reference_settle(circuit, packed_inputs, state, n_words)
-    state = dict(state)
-    if dffs:
-        max_ripple = len(dffs) + 2
-        for _ in range(max_ripple):
-            if prev_clk is None:
-                # First vector establishes the clock baseline; no edges fire.
-                break
-            fired = False
-            for dff in dffs:
-                d_net, clk_net = circuit.gate(dff).inputs
-                edge = (prev_clk[dff] ^ ALL_ONES) & values[clk_net]
-                if edge.any():
-                    fired = True
-                    state[dff] = (state[dff] & (edge ^ ALL_ONES)) | (
-                        values[d_net] & edge
-                    )
-            # Record clocks *before* re-settle so ripple edges are seen next pass.
-            prev_clk = {
-                dff: values[circuit.gate(dff).inputs[1]].copy() for dff in dffs
-            }
-            if not fired:
-                break
-            values = _reference_settle(circuit, packed_inputs, state, n_words)
-        prev_clk = {
-            dff: values[circuit.gate(dff).inputs[1]].copy() for dff in dffs
-        }
-    return values, state, prev_clk
-
-
-class ReferenceSequentialSimulator:
-    """The original per-gate dict engine behind the same public API.
-
-    Kept verbatim (modulo the pure-functional step extraction) so the
-    differential tests in ``tests/test_seqsim_compiled.py`` and the seqsim
-    "before" timings in ``benchmarks/test_perf_sim.py`` can pit the compiled
-    engine against it.
-    """
-
-    def __init__(self, circuit: Circuit) -> None:
-        self.circuit = circuit
-        self._dffs: List[str] = [
-            g.name for g in circuit.gates() if g.gate_type is GateType.DFF
-        ]
-        self._state: Dict[str, np.ndarray] = {}
-        self._prev_clk: Optional[Dict[str, np.ndarray]] = None
-        self._n_words = 0
-
-    @property
-    def dff_nets(self) -> Tuple[str, ...]:
-        return tuple(self._dffs)
-
-    def reset(self, n_sequences: int) -> None:
-        self._n_words = (n_sequences + 63) // 64
-        zeros = np.zeros(self._n_words, dtype=np.uint64)
-        self._state = {d: zeros.copy() for d in self._dffs}
-        self._prev_clk = None
-
-    def step_packed(self, packed_inputs: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        if not self._state and self._dffs:
-            raise RuntimeError("call reset() before stepping")
-        values, self._state, self._prev_clk = reference_step_packed(
-            self.circuit, packed_inputs, self._state, self._prev_clk, self._n_words
-        )
-        return values
-
-    def run_sequences_nets(
-        self, sequences: np.ndarray, nets: Sequence[str]
-    ) -> np.ndarray:
-        sequences = np.asarray(sequences)
-        n_seqs, n_steps, _ = sequences.shape
-        self.reset(n_seqs)
-        out = np.zeros((n_seqs, n_steps, len(nets)), dtype=np.uint8)
-        for t in range(n_steps):
-            packed = pack_patterns(sequences[:, t, :])
-            packed_inputs = {pi: packed[i] for i, pi in enumerate(self.circuit.inputs)}
-            values = self.step_packed(packed_inputs)
-            if nets:
-                words = np.stack([values[net] for net in nets])
-                out[:, t, :] = unpack_patterns(words, n_seqs)
-        return out
-
-    def run_sequences(self, sequences: np.ndarray) -> np.ndarray:
-        return self.run_sequences_nets(sequences, self.circuit.outputs)
-
-    def run_sequence_tracking(
-        self, sequence: np.ndarray, watch: List[str]
-    ) -> Dict[str, np.ndarray]:
         sequence = np.atleast_2d(np.asarray(sequence))
         traces = self.run_sequences_nets(sequence[np.newaxis], list(watch))[0]
         return {net: traces[:, i].copy() for i, net in enumerate(watch)}

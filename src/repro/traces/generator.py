@@ -104,7 +104,6 @@ class TraceGenerator:
         nets: Optional[Sequence[str]] = None,
         cone_roots: Optional[Sequence[str]] = None,
         mapped: Optional[MappedNetlist] = None,
-        backend=None,
     ) -> None:
         if nets is not None and cone_roots is not None:
             raise ValueError("pass either nets or cone_roots, not both")
@@ -116,10 +115,7 @@ class TraceGenerator:
         energy = switching_energy_fj(circuit, library, mapped=mapped)
         #: Per-net energy per toggle (fJ), aligned with :attr:`nets`.
         self.energies_fj = np.array([energy[n] for n in self.nets], dtype=np.float64)
-        self._sim = SequentialSimulator(circuit, backend)
-        #: Array backend the simulation and the trace matmul run on
-        #: (inherited from the compiled form; numpy unless selected).
-        self._backend = self._sim._backend
+        self._sim = SequentialSimulator(circuit)
 
     # ------------------------------------------------------------------
     def toggles(self, sequences: np.ndarray) -> np.ndarray:
@@ -151,11 +147,9 @@ class TraceGenerator:
         flat = toggles.reshape(n_seqs * n_cycles, n_nets)
         out = np.empty(flat.shape[0], dtype=np.float64)
         step = max(1, _MATMUL_CHUNK_FLOATS // max(n_nets, 1))
-        w_dev = self._backend.asarray(w)
         for start in range(0, flat.shape[0], step):
-            block = self._backend.asarray(flat[start : start + step])
-            product = block.astype(np.float64) @ w_dev
-            out[start : start + block.shape[0]] = self._backend.to_numpy(product)
+            block = flat[start : start + step]
+            out[start : start + block.shape[0]] = block.astype(np.float64) @ w
         return out.reshape(n_seqs, n_cycles)
 
     def generate(

@@ -1,24 +1,34 @@
-"""Test-only oracles: the fault simulator as it was before compilation.
+"""Test-only oracles: the simulators as they were before compilation.
 
-``reference_fault_sim`` processes 64 patterns at a time as
-arbitrary-precision Python ints and re-derives every gate's good value from
-the :class:`~repro.netlist.circuit.Circuit` object itself, so it shares no
-schedule, row order or cone cache with the compiled
-:class:`~repro.atpg.faultsim.FaultSimulator` it pins.  Differential tests in
-``tests/`` and the speedup figures of ``benchmarks/test_perf_sim.py`` use it.
+Each oracle re-derives every gate's value from the
+:class:`~repro.netlist.circuit.Circuit` object itself, one gate per Python
+step, so it shares no schedule, row order or cone cache with the compiled
+engine it pins:
+
+* ``reference_run_packed`` — the per-gate combinational interpreter behind
+  :class:`~repro.sim.BitSimulator`;
+* ``reference_step_packed`` / ``ReferenceSequentialSimulator`` — the
+  per-gate edge-driven dict engine behind
+  :class:`~repro.sim.SequentialSimulator`;
+* ``reference_fault_sim`` — the block-wise Python-int fault simulator
+  behind :class:`~repro.atpg.faultsim.FaultSimulator`; it processes 64
+  patterns at a time as arbitrary-precision Python ints.
+
+Differential tests in ``tests/`` and the speedup figures of
+``benchmarks/test_perf_sim.py`` use them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.atpg.fault import StuckAtFault
 from repro.atpg.faultsim import FaultSimResult, _evaluate_packed_int
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, NetlistError
 from repro.netlist.gate import GateType
-from repro.sim.bitsim import WORD_BITS, pack_patterns
+from repro.sim.bitsim import ALL_ONES, WORD_BITS, pack_patterns, unpack_patterns
 
 
 def _blocks(patterns: np.ndarray, inputs: Sequence[str]) -> Iterable[Tuple[Dict[str, int], int, int]]:
@@ -128,3 +138,198 @@ def reference_fault_sim(
         remaining = still
     result.undetected = [f for f in remaining if f not in result.detected]
     return result
+
+
+def _eval_packed(
+    gate_type: GateType, inputs: List[np.ndarray], ones: np.ndarray
+) -> np.ndarray:
+    """Evaluate one gate on packed uint64 vectors."""
+    if gate_type is GateType.AND or gate_type is GateType.NAND:
+        acc = inputs[0].copy()
+        for word in inputs[1:]:
+            acc &= word
+        return (acc ^ ones) if gate_type is GateType.NAND else acc
+    if gate_type is GateType.OR or gate_type is GateType.NOR:
+        acc = inputs[0].copy()
+        for word in inputs[1:]:
+            acc |= word
+        return (acc ^ ones) if gate_type is GateType.NOR else acc
+    if gate_type is GateType.XOR or gate_type is GateType.XNOR:
+        acc = inputs[0].copy()
+        for word in inputs[1:]:
+            acc ^= word
+        return (acc ^ ones) if gate_type is GateType.XNOR else acc
+    if gate_type is GateType.NOT:
+        return inputs[0] ^ ones
+    if gate_type is GateType.BUFF:
+        return inputs[0].copy()
+    if gate_type is GateType.MUX:
+        d0, d1, sel = inputs
+        return (d0 & (sel ^ ones)) | (d1 & sel)
+    raise NetlistError(f"cannot bit-simulate gate type {gate_type}")
+
+
+def reference_run_packed(
+    circuit: Circuit, packed_inputs: Dict[str, np.ndarray]
+) -> Dict[str, np.ndarray]:
+    """Per-gate interpreter (the pre-compiled engine), kept as a reference.
+
+    Walks the netlist dict one gate at a time.  Used by the differential
+    tests in ``tests/test_sim_compiled.py`` and as the "before" measurement
+    in ``benchmarks/test_perf_sim.py``; production code should go through
+    :class:`BitSimulator` instead.
+    """
+    n_words = len(next(iter(packed_inputs.values()))) if packed_inputs else 1
+    values: Dict[str, np.ndarray] = {}
+    ones = np.full(n_words, ALL_ONES, dtype=np.uint64)
+    zeros = np.zeros(n_words, dtype=np.uint64)
+    for net in circuit.topological_order():
+        gate = circuit.gate(net)
+        gt = gate.gate_type
+        if gt is GateType.INPUT:
+            values[net] = np.asarray(packed_inputs[net], dtype=np.uint64)
+        elif gt is GateType.TIE0:
+            values[net] = zeros
+        elif gt is GateType.TIE1:
+            values[net] = ones
+        else:
+            values[net] = _eval_packed(gt, [values[i] for i in gate.inputs], ones)
+    return values
+
+
+# ----------------------------------------------------------------------
+# reference dict engine (pre-compiled implementation, kept for tests)
+# ----------------------------------------------------------------------
+def _reference_settle(
+    circuit: Circuit,
+    packed_inputs: Dict[str, np.ndarray],
+    state: Dict[str, np.ndarray],
+    n_words: int,
+) -> Dict[str, np.ndarray]:
+    """Evaluate every net one dict-gate at a time (the original engine)."""
+    ones = np.full(n_words, ALL_ONES, dtype=np.uint64)
+    zeros = np.zeros(n_words, dtype=np.uint64)
+    values: Dict[str, np.ndarray] = {}
+    for net in circuit.topological_order():
+        gate = circuit.gate(net)
+        gt = gate.gate_type
+        if gt is GateType.INPUT:
+            values[net] = packed_inputs[net]
+        elif gt is GateType.DFF:
+            values[net] = state[net]
+        elif gt is GateType.TIE0:
+            values[net] = zeros
+        elif gt is GateType.TIE1:
+            values[net] = ones
+        else:
+            values[net] = _eval_packed(gt, [values[i] for i in gate.inputs], ones)
+    return values
+
+
+def reference_step_packed(
+    circuit: Circuit,
+    packed_inputs: Dict[str, np.ndarray],
+    state: Dict[str, np.ndarray],
+    prev_clk: Optional[Dict[str, np.ndarray]],
+    n_words: int,
+) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+    """One edge-driven vector step of the per-gate dict engine.
+
+    Pure-functional reference for differential tests: takes the flip-flop
+    ``state`` and previous clock snapshot, returns ``(settled values, new
+    state, new clock snapshot)``.  Production code should use
+    :class:`SequentialSimulator`, which is bit-identical but runs on the
+    compiled levelized schedule.
+    """
+    dffs = [g.name for g in circuit.gates() if g.gate_type is GateType.DFF]
+    values = _reference_settle(circuit, packed_inputs, state, n_words)
+    state = dict(state)
+    if dffs:
+        max_ripple = len(dffs) + 2
+        for _ in range(max_ripple):
+            if prev_clk is None:
+                # First vector establishes the clock baseline; no edges fire.
+                break
+            fired = False
+            for dff in dffs:
+                d_net, clk_net = circuit.gate(dff).inputs
+                edge = (prev_clk[dff] ^ ALL_ONES) & values[clk_net]
+                if edge.any():
+                    fired = True
+                    state[dff] = (state[dff] & (edge ^ ALL_ONES)) | (
+                        values[d_net] & edge
+                    )
+            # Record clocks *before* re-settle so ripple edges are seen next pass.
+            prev_clk = {
+                dff: values[circuit.gate(dff).inputs[1]].copy() for dff in dffs
+            }
+            if not fired:
+                break
+            values = _reference_settle(circuit, packed_inputs, state, n_words)
+        prev_clk = {
+            dff: values[circuit.gate(dff).inputs[1]].copy() for dff in dffs
+        }
+    return values, state, prev_clk
+
+
+class ReferenceSequentialSimulator:
+    """The original per-gate dict engine behind the same public API.
+
+    Kept verbatim (modulo the pure-functional step extraction) so the
+    differential tests in ``tests/test_seqsim_compiled.py`` and the seqsim
+    "before" timings in ``benchmarks/test_perf_sim.py`` can pit the compiled
+    engine against it.
+    """
+
+    def __init__(self, circuit: Circuit) -> None:
+        self.circuit = circuit
+        self._dffs: List[str] = [
+            g.name for g in circuit.gates() if g.gate_type is GateType.DFF
+        ]
+        self._state: Dict[str, np.ndarray] = {}
+        self._prev_clk: Optional[Dict[str, np.ndarray]] = None
+        self._n_words = 0
+
+    @property
+    def dff_nets(self) -> Tuple[str, ...]:
+        return tuple(self._dffs)
+
+    def reset(self, n_sequences: int) -> None:
+        self._n_words = (n_sequences + 63) // 64
+        zeros = np.zeros(self._n_words, dtype=np.uint64)
+        self._state = {d: zeros.copy() for d in self._dffs}
+        self._prev_clk = None
+
+    def step_packed(self, packed_inputs: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        if not self._state and self._dffs:
+            raise RuntimeError("call reset() before stepping")
+        values, self._state, self._prev_clk = reference_step_packed(
+            self.circuit, packed_inputs, self._state, self._prev_clk, self._n_words
+        )
+        return values
+
+    def run_sequences_nets(
+        self, sequences: np.ndarray, nets: Sequence[str]
+    ) -> np.ndarray:
+        sequences = np.asarray(sequences)
+        n_seqs, n_steps, _ = sequences.shape
+        self.reset(n_seqs)
+        out = np.zeros((n_seqs, n_steps, len(nets)), dtype=np.uint8)
+        for t in range(n_steps):
+            packed = pack_patterns(sequences[:, t, :])
+            packed_inputs = {pi: packed[i] for i, pi in enumerate(self.circuit.inputs)}
+            values = self.step_packed(packed_inputs)
+            if nets:
+                words = np.stack([values[net] for net in nets])
+                out[:, t, :] = unpack_patterns(words, n_seqs)
+        return out
+
+    def run_sequences(self, sequences: np.ndarray) -> np.ndarray:
+        return self.run_sequences_nets(sequences, self.circuit.outputs)
+
+    def run_sequence_tracking(
+        self, sequence: np.ndarray, watch: List[str]
+    ) -> Dict[str, np.ndarray]:
+        sequence = np.atleast_2d(np.asarray(sequence))
+        traces = self.run_sequences_nets(sequence[np.newaxis], list(watch))[0]
+        return {net: traces[:, i].copy() for i, net in enumerate(watch)}

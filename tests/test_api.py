@@ -57,6 +57,20 @@ class TestSpecSerialization:
         with pytest.raises(ValueError, match="pth"):
             ExperimentSpec(circuit="c17", pth=0.2)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "3"])
+    def test_invalid_seed_rejected(self, seed):
+        # A float or negative seed would only fail deep inside numpy's
+        # SeedSequence; True would run as seed=1 under a different spec hash.
+        with pytest.raises(ValueError, match="seed must be None or a non-negative int"):
+            ExperimentSpec(circuit="c17", seed=seed)
+
+    def test_valid_seeds_accepted_and_hash_unchanged(self):
+        assert ExperimentSpec(circuit="c17", seed=0).seed == 0
+        spec = ExperimentSpec(
+            circuit="c432", pth=0.975, design="counter2", seed=5, mc_sessions=8
+        )
+        assert spec.spec_hash() == TestSpecHash.PINNED["c432"]
+
     def test_cell_id_stable_and_distinct(self):
         a = ExperimentSpec(circuit="c17", pth=0.9)
         assert a.cell_id() == ExperimentSpec(circuit="c17", pth=0.9).cell_id()

@@ -2,8 +2,8 @@
 
 Every rule is asserted twice: it fires on a minimal seeded violation with
 the right code, and it stays silent on the idiomatic form the codebase
-actually uses (the ``if rng is None`` good case, the backend boundary
-module, the ``runtime=`` sink, ...).  The suite ends with the acceptance
+actually uses (the ``if rng is None`` good case, the service's numeric
+boundary module, the ``runtime=`` sink, ...).  The suite ends with the acceptance
 property: the shipped ``src/`` tree lints clean with an empty allowlist.
 """
 
@@ -197,63 +197,6 @@ class TestPayloadPurity:
         assert fs == []
 
 
-# -- R3: backend discipline ------------------------------------------------
-
-
-class TestBackendDiscipline:
-    def test_from_numpy_import_fires_in_kernel(self):
-        fs = lint_source(
-            "from numpy import packbits\n", module="repro.sim.example"
-        )
-        assert codes(fs) == ["RPR301"]
-
-    def test_bare_and_aliased_numpy_imports_fire(self):
-        assert codes(
-            lint_source("import numpy\n", module="repro.atpg.example")
-        ) == ["RPR301"]
-        assert codes(
-            lint_source("import numpy as xp\n", module="repro.traces.example")
-        ) == ["RPR301"]
-
-    def test_import_numpy_as_np_is_silent(self):
-        assert lint_source(
-            "import numpy as np\n", module="repro.sim.example"
-        ) == []
-
-    def test_device_compute_fires_in_kernel(self):
-        fs = lint_source(
-            "import numpy as np\ndef f(a, w):\n    return np.matmul(a, w)\n",
-            module="repro.traces.example",
-        )
-        assert codes(fs) == ["RPR302"]
-        assert "backend" in fs[0].message
-
-    def test_host_side_surface_is_silent(self):
-        fs = lint_source(
-            "import numpy as np\n"
-            "def f(bits):\n"
-            "    packed = np.packbits(np.asarray(bits, dtype=np.uint8))\n"
-            "    return np.zeros(4, dtype=np.uint64), packed\n",
-            module="repro.sim.example",
-        )
-        assert fs == []
-
-    def test_backend_boundary_module_is_exempt(self):
-        # The allowlisted boundary path: repro.sim.backend IS the numpy shim.
-        fs = lint_source(
-            "import numpy as np\nx = np.matmul(a, b)\n",
-            module="repro.sim.backend",
-        )
-        assert fs == []
-
-    def test_non_kernel_packages_are_out_of_scope(self):
-        fs = lint_source(
-            "import numpy as np\nx = np.linalg.norm(v)\n",
-            module="repro.detect.example",
-        )
-        assert fs == []
-
-
 # -- R4: service hygiene ---------------------------------------------------
 
 
@@ -422,12 +365,12 @@ class TestCli:
         assert finding["path"].endswith("example.py")
 
     def test_select_filters_rules(self, tmp_path):
-        bad = tmp_path / "repro" / "sim" / "example.py"
+        bad = tmp_path / "repro" / "service" / "example.py"
         bad.parent.mkdir(parents=True)
-        bad.write_text("import random\nfrom numpy import zeros\n")
-        assert codes(lint_paths([tmp_path])[0]) == ["RPR102", "RPR301"]
-        only_301, _ = lint_paths([tmp_path], select=["RPR301"])
-        assert codes(only_301) == ["RPR301"]
+        bad.write_text("import random\nimport requests\n")
+        assert codes(lint_paths([tmp_path])[0]) == ["RPR102", "RPR401"]
+        only_401, _ = lint_paths([tmp_path], select=["RPR401"])
+        assert codes(only_401) == ["RPR401"]
 
     def test_unknown_select_code_errors(self):
         assert run_lint(["src"], select="RPR999", out=io.StringIO()) == 2
@@ -452,7 +395,6 @@ class TestCli:
         expected = {
             "RPR101", "RPR102", "RPR103",
             "RPR201", "RPR202",
-            "RPR301", "RPR302",
             "RPR401", "RPR402",
         }
         assert set(RULES) == expected

@@ -19,10 +19,10 @@ from repro.netlist.transform import strip_dead_logic, tie_net_to_constant
 from repro.prob.montecarlo import mc_signal_probabilities, mc_toggle_rates
 from repro.sim import BitSimulator, compile_circuit
 from repro.sim.compiled import COMPILE_STATS, CompiledCircuit
-from repro.sim.seqsim import ReferenceSequentialSimulator, SequentialSimulator
+from repro.sim.seqsim import SequentialSimulator
 from repro.trojan import insert_counter_trojan
 from repro.trojan.trigger import monte_carlo_pft
-from tests.oracles import reference_fault_sim
+from tests.oracles import ReferenceSequentialSimulator, reference_fault_sim
 
 
 def infected_c17(n_bits=2):

@@ -353,6 +353,13 @@ class TestFleetService:
                 "POST", "/jobs", {"campaign": {"name": "x", "experiments": []}}
             )
         assert err.value.status == 400
+        bad_seed = {"circuit": "c17", "pth": 0.9, "seed": -1}
+        with pytest.raises(FleetServiceError) as err:
+            client._request(
+                "POST", "/jobs", {"campaign": {"name": "x", "experiments": [bad_seed]}}
+            )
+        assert err.value.status == 400
+        assert "seed must be None or a non-negative int" in str(err.value)
 
     def test_unknown_endpoint_404(self, client):
         with pytest.raises(FleetServiceError) as err:

@@ -4,15 +4,8 @@ The compiled engine (``repro.sim.compiled``) must be bit-exact against the
 retained per-gate reference implementations on randomized circuits and on the
 bundled ISCAS-like benches, for both plain bit-parallel simulation and
 stuck-at fault simulation (on both sides of the 64-pattern word boundary).
-It also pins the array-backend selector and the pattern-width check shared by
-every simulation entry point.
+It also pins the pattern-width check shared by every simulation entry point.
 """
-
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,11 +17,9 @@ from repro.sim import (
     BitSimulator,
     compile_circuit,
     pack_patterns,
-    reference_run_packed,
     unpack_patterns,
 )
-from repro.sim.backend import NumpyBackend, available_backends, get_backend
-from tests.oracles import reference_fault_sim
+from tests.oracles import reference_fault_sim, reference_run_packed
 
 _GATE_CHOICES = [
     GateType.AND,
@@ -210,60 +201,3 @@ class TestPatternWidth:
         patterns = _patterns(c17_circuit, 8)[:, :1].repeat(n_columns, axis=1)
         with pytest.raises(ValueError, match=f"expected 5 input columns, got {n_columns}"):
             self.ENTRY_POINTS[entry](c17_circuit, patterns)
-
-
-class TestBackendParity:
-    def test_numpy_env_var_is_byte_identical(self):
-        """``REPRO_ARRAY_BACKEND=numpy`` must not perturb a single bit.
-
-        Run the same seeded fault simulation in a subprocess with the env var
-        set and compare the full detection map against the in-process default.
-        """
-        circuit = random_circuit(11)
-        patterns = _patterns(circuit, 130, 11)
-        here = FaultSimulator(circuit).run(patterns, full_fault_list(circuit))
-        expected = sorted((f.net, f.value, idx) for f, idx in here.detected.items())
-
-        script = (
-            "import json, sys\n"
-            "sys.path.insert(0, sys.argv[1])\n"
-            "from tests.test_sim_compiled import random_circuit, _patterns\n"
-            "from repro.atpg import FaultSimulator, full_fault_list\n"
-            "circuit = random_circuit(11)\n"
-            "patterns = _patterns(circuit, 130, 11)\n"
-            "out = FaultSimulator(circuit).run(patterns, full_fault_list(circuit))\n"
-            "rows = sorted((f.net, f.value, i) for f, i in out.detected.items())\n"
-            "print(json.dumps(rows))\n"
-        )
-        repo_root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ, REPRO_ARRAY_BACKEND="numpy")
-        env["PYTHONPATH"] = str(repo_root / "src")
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(repo_root)],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        got = [tuple(row) for row in json.loads(proc.stdout)]
-        assert got == expected
-
-    def test_explicit_numpy_backend_matches_default(self):
-        circuit = random_circuit(12)
-        patterns = _patterns(circuit, 96, 12)
-        faults = full_fault_list(circuit)
-        default = FaultSimulator(circuit).run(patterns, faults)
-        explicit = FaultSimulator(circuit, backend=NumpyBackend()).run(patterns, faults)
-        assert default.detected == explicit.detected
-        assert default.undetected == explicit.undetected
-
-    def test_unknown_backend_rejected_with_choices(self):
-        with pytest.raises(ValueError, match="numpy"):
-            get_backend("tpu")
-
-    def test_cupy_guard(self):
-        """Without CuPy installed, selecting it must raise cleanly (no crash)."""
-        if "cupy" in available_backends():
-            pytest.skip("CuPy present; guard path not reachable")
-        with pytest.raises(ValueError, match="cupy"):
-            get_backend("cupy")

@@ -14,7 +14,7 @@ from repro.bench import c17, c432_like, c499_like
 from repro.power import analyze, switching_energy_fj, tech65_library
 from repro.prob.montecarlo import mc_toggle_rates
 from repro.sim.bitsim import BitSimulator, toggle_matrix
-from repro.sim.seqsim import ReferenceSequentialSimulator, SequentialSimulator
+from repro.sim.seqsim import SequentialSimulator
 from repro.traces import (
     CorrTraceDetector,
     DomTraceDetector,
@@ -31,6 +31,7 @@ from repro.traces import (
     welch_t_statistic,
 )
 from repro.trojan import insert_counter_trojan
+from tests.oracles import ReferenceSequentialSimulator
 
 
 @pytest.fixture(scope="module")
