@@ -28,8 +28,10 @@ BENCH_PERF_PATH = Path(__file__).resolve().parents[1] / "BENCH_perf.json"
 def update_perf_report(section: str, payload: dict) -> None:
     """Merge one section into ``BENCH_perf.json`` (sections own their keys).
 
-    Only when ``REPRO_BENCH_WRITE=1``: the perf benches also run in the
-    plain test suite, which must not rewrite the tracked record.
+    A dotted name (``pipeline.padding``) is a sub-section: it replaces only
+    that key of its parent section.  Only when ``REPRO_BENCH_WRITE=1``: the
+    perf benches also run in the plain test suite, which must not rewrite
+    the tracked record.
     """
     if os.environ.get("REPRO_BENCH_WRITE") != "1":
         return
@@ -39,7 +41,11 @@ def update_perf_report(section: str, payload: dict) -> None:
             report = json.loads(BENCH_PERF_PATH.read_text())
         except json.JSONDecodeError:
             report = {}
-    report[section] = payload
+    parent, _, child = section.partition(".")
+    if child:
+        report.setdefault(parent, {})[child] = payload
+    else:
+        report[section] = payload
     BENCH_PERF_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 

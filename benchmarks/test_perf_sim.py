@@ -14,7 +14,10 @@ reference implementations on ISCAS-scale circuits:
   reference dict engine, bit-identity checked in the same run.
 * **pipeline** — one end-to-end TrojanZero flow (thresholds → salvage →
   insertion → Pft Monte-Carlo) with the salvage compile-cache counters
-  (full vs. patched compiles — the structural-fingerprint cache at work).
+  (full vs. patched compiles — the structural-fingerprint cache at work),
+  and (``pipeline.padding``) c499's dummy/filler padding costed by an
+  incremental :class:`~repro.power.analysis.PowerModel` vs. a fresh
+  ``analyze`` per batch.
 
 Results (before/after wall time, throughput, speedup) are merged into
 ``BENCH_perf.json`` at the repo root so the perf trajectory is tracked in
@@ -33,10 +36,13 @@ from repro.atpg import full_fault_list
 from repro.atpg.faultsim import FaultSimulator
 from repro.bench import c17, c499_like, c880_like, c1908_like, c3540_like
 from repro.bench.iscas_extra import c6288_like
+from repro.core.insertion import _exceeds, _pad_with_dummies
 from repro.core.pipeline import TrojanZeroPipeline
+from repro.power import analyze
 from repro.sim.bitsim import BitSimulator, pack_patterns, unpack_patterns
 from repro.sim.seqsim import SequentialSimulator
 from repro.trojan import insert_counter_trojan
+from repro.trojan.library import insert_dummy_gates, insert_filler_cells
 from tests.oracles import (
     ReferenceSequentialSimulator,
     reference_fault_sim,
@@ -235,7 +241,7 @@ def test_pipeline_end_to_end_timing():
 
     stats = result.salvage.compile_stats
     trials = len(result.salvage.removals)
-    update_perf_report("pipeline", {
+    update_perf_report("pipeline.end_to_end", {
         "circuit": "c880",
         "gates": circuit.num_logic_gates,
         "max_candidates": 24,
@@ -255,3 +261,73 @@ def test_pipeline_end_to_end_timing():
         assert (
             stats.get("patched_compiles", 0) + stats.get("fingerprint_hits", 0) > 0
         ), f"no compile-cache hits across {trials} salvage trials: {stats}"
+
+
+# ---------------------------------------------------------------------------
+# dummy/filler padding (Algorithm 2, Sec. IV.4): incremental PowerModel
+# ---------------------------------------------------------------------------
+PADDING_MIN_SPEEDUP = 5.0  # loud-regression floor
+
+
+def _pad_with_fresh_analyze(infected, thresholds, library, config, max_dummies=512):
+    """The padding loop re-characterizing the whole circuit per batch."""
+    added = []
+    report = analyze(infected, library)
+    delta = thresholds.delta(report)
+    use_filler = False
+    while len(added) < max_dummies and delta.area_ge > config.padding_target_ge:
+        if use_filler or delta.total_uw <= 0 or delta.dynamic_uw <= 0:
+            use_filler = True
+            batch = insert_filler_cells(infected, 4, prefix=f"fill{len(added)}_")
+        else:
+            batch = insert_dummy_gates(infected, 1, prefix=f"dummy{len(added)}_")
+        trial_report = analyze(infected, library)
+        trial_delta = thresholds.delta(trial_report)
+        if _exceeds(trial_delta, thresholds, config.rel_power_tolerance,
+                    config.rel_area_tolerance):
+            for name in reversed(batch):
+                infected.remove_gate(name)
+            if use_filler:
+                break
+            use_filler = True
+            continue
+        added.extend(batch)
+        report, delta = trial_report, trial_delta
+    return report, delta, added
+
+
+def test_padding_incremental():
+    """c499 padding: PowerModel updates vs. a fresh ``analyze`` per batch."""
+    pipeline = TrojanZeroPipeline.default()
+    result = pipeline.run(c499_like(), p_threshold=0.993, counter_bits=3, seed=1)
+    insertion = result.insertion
+    assert insertion.success and insertion.dummy_gates
+    # The infected circuit as it stood before padding.
+    unpadded = insertion.infected.copy()
+    unpadded.remove_gates(insertion.dummy_gates)
+    thresholds = result.power_free
+    config = pipeline.insertion_config
+
+    def timed_padding(pad):
+        circuit = unpadded.copy()
+        start = time.perf_counter()
+        outcome = pad(circuit, thresholds, pipeline.library, config)
+        return time.perf_counter() - start, outcome
+
+    t_before, want = timed_padding(_pad_with_fresh_analyze)
+    t_after, got = timed_padding(_pad_with_dummies)
+    assert got == want, "incremental padding diverged from fresh analyze"
+    assert got[2] == insertion.dummy_gates
+
+    speedup = t_before / t_after
+    update_perf_report("pipeline.padding", {
+        "circuit": "c499 + 3-bit counter Trojan (seed 1)",
+        "gates_added": len(got[2]),
+        "before_s": t_before,
+        "after_s": t_after,
+        "speedup": speedup,
+    })
+    assert speedup >= PADDING_MIN_SPEEDUP, (
+        f"incremental padding speedup regressed: {speedup:.1f}x < "
+        f"{PADDING_MIN_SPEEDUP}x (see {BENCH_PERF_PATH})"
+    )

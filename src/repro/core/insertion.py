@@ -10,17 +10,24 @@ A placement is accepted only when the TZ-infected circuit ``N''``
 3. after optional dummy-gate padding, sits within tolerance of the
    thresholds so that neither an increase nor a suspicious decrease is
    measurable (Sec. IV.4).
+
+Padding is evaluated incrementally: a :class:`~repro.power.analysis.PowerModel`
+follows each batch of dummies or fillers instead of re-characterizing the
+whole circuit.  This is exact.  A Sec. IV.4 dummy or filler reads only
+primary inputs (or its own tie) and nothing reads it, so it changes no
+existing net's mapping, probability or activity; only the new gates and the
+load on the nets they read are re-costed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..netlist.circuit import Circuit
-from ..power.analysis import PowerDelta, PowerReport, analyze
+from ..power.analysis import PowerDelta, PowerModel, PowerReport, analyze
 from ..power.library import CellLibrary
 from ..prob.propagate import rare_nodes, signal_probabilities
 from ..sim.equivalence import functional_test
@@ -91,6 +98,10 @@ def rank_victims(circuit: Circuit, limit: int) -> List[str]:
     payload there would rarely matter).
     """
     probs = signal_probabilities(circuit)
+    bits, cones = _fanout_cone_bits(circuit)
+    outputs = 0
+    for net in circuit.outputs:
+        outputs |= bits[net]
     scored: List[Tuple[int, str]] = []
     for net in circuit.internal_nets():
         gate = circuit.gate(net)
@@ -99,13 +110,38 @@ def rank_victims(circuit: Circuit, limit: int) -> List[str]:
         p = probs[net]
         if p < 0.05 or p > 0.95:
             continue
-        cone = circuit.fanout_cone(net)
-        reach = sum(1 for n in cone if n in circuit.outputs)
+        cone = cones[net]
+        reach = (cone & outputs).bit_count()
         if reach == 0:
             continue
-        scored.append((len(cone) + 10 * reach, net))
+        scored.append((cone.bit_count() + 10 * reach, net))
     scored.sort(reverse=True)
     return [net for _, net in scored[:limit]]
+
+
+def _fanout_cone_bits(circuit: Circuit) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """Every net's own bit and fan-out cone (inclusive) as Python-int bitsets.
+
+    One reverse-topological pass ORs each net's readers' cones into its own.
+    A DFF reader sits before its inputs in topological order, so sequential
+    circuits repeat the pass until no cone grows (loops through DFFs).
+    """
+    order = circuit.topological_order()
+    bits = {net: 1 << position for position, net in enumerate(order)}
+    cones = dict(bits)
+    readers = [(net, circuit.fanout(net)) for net in reversed(order)]
+    sequential = circuit.is_sequential
+    changed = True
+    while changed:
+        changed = False
+        for net, fanout in readers:
+            cone = cones[net]
+            for reader in fanout:
+                cone |= cones[reader]
+            if cone != cones[net]:
+                cones[net] = cone
+                changed = sequential
+    return bits, cones
 
 
 def rank_trigger_sources(
@@ -303,9 +339,14 @@ def _pad_with_dummies(
     2. *filler cells* (tie-fed, non-switching) — add area and a little
        leakage only, used once dynamic/total power is at the cap but area is
        still visibly short (paper observation Z).
+
+    Each batch is costed by a :class:`PowerModel` that follows the edit
+    (:meth:`PowerModel.add_gates`) rather than by re-characterizing the
+    whole circuit; its reports equal a fresh :func:`analyze` exactly.
     """
     added: List[str] = []
-    report = analyze(infected, library)
+    model = PowerModel(infected, library)
+    report = model.report()
     delta = thresholds.delta(report)
     use_filler = False
     while len(added) < max_dummies and delta.area_ge > config.padding_target_ge:
@@ -314,17 +355,18 @@ def _pad_with_dummies(
             batch = insert_filler_cells(infected, 4, prefix=f"fill{len(added)}_")
         else:
             batch = insert_dummy_gates(infected, 1, prefix=f"dummy{len(added)}_")
-        trial_report = analyze(infected, library)
+        trial = model.copy()
+        trial.add_gates(infected, batch)
+        trial_report = trial.report()
         trial_delta = thresholds.delta(trial_report)
         if _exceeds(trial_delta, thresholds, config.rel_power_tolerance,
                     config.rel_area_tolerance):
-            # Went over a cap — undo the last batch.
-            for name in reversed(batch):
-                infected.remove_gate(name)
+            # Went over a cap — undo the last batch (the model never saw it).
+            infected.remove_gates(batch)
             if use_filler:
                 break  # even non-switching padding no longer fits
             use_filler = True  # dummies too hot; retry with fillers
             continue
         added.extend(batch)
-        report, delta = trial_report, trial_delta
+        model, report, delta = trial, trial_report, trial_delta
     return report, delta, added

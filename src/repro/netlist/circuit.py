@@ -93,18 +93,35 @@ class Circuit:
     def remove_gate(self, name: str) -> Gate:
         """Remove the gate driving ``name``.  Fails on primary outputs or nets
         that still have fanout."""
-        if name not in self._gates:
-            raise NetlistError(f"no gate drives {name!r}")
-        if name in self._outputs:
-            raise NetlistError(f"{name!r} is a primary output; unset it first")
-        fanout = self.fanout(name)
-        if fanout:
-            raise NetlistError(f"{name!r} still feeds {sorted(fanout)}")
-        gate = self._gates.pop(name)
-        if gate.is_input:
-            self._inputs.remove(name)
+        return self.remove_gates([name])[0]
+
+    def remove_gates(self, names: Iterable[str]) -> List[Gate]:
+        """Remove the gates driving ``names`` in one edit; returns them in
+        the given order.
+
+        The set is checked once, before anything changes: every name is
+        driven, none is a primary output, and no gate outside the set reads
+        one inside it (gates of the set may read each other).
+        """
+        doomed = list(names)
+        if not doomed:
+            return []
+        doomed_set = set(doomed)
+        if len(doomed_set) != len(doomed):
+            raise NetlistError("remove_gates() given a name twice")
+        for name in doomed:
+            if name not in self._gates:
+                raise NetlistError(f"no gate drives {name!r}")
+            if name in self._outputs:
+                raise NetlistError(f"{name!r} is a primary output; unset it first")
+            survivors = [r for r in self.fanout(name) if r not in doomed_set]
+            if survivors:
+                raise NetlistError(f"{name!r} still feeds {sorted(survivors)}")
+        removed = [self._gates.pop(name) for name in doomed]
+        if any(gate.is_input for gate in removed):
+            self._inputs = [n for n in self._inputs if n not in doomed_set]
         self._invalidate()
-        return gate
+        return removed
 
     def replace_gate(self, name: str, gate_type: GateType, inputs: Sequence[str] = ()) -> None:
         """Swap the driver of ``name`` for a new gate (fanout is preserved)."""

@@ -66,20 +66,26 @@ def strip_dead_logic(circuit: Circuit, protect: Iterable[str] = ()) -> List[str]
         live.add(net)
         stack.extend(circuit.gate(net).inputs)
 
+    # Peel dead gates in reverse-topological waves (a gate goes once nothing
+    # reads it), counting readers locally; the circuit is edited once.
+    dead = [g.name for g in circuit.gates() if not g.is_input and g.name not in live]
+    readers = {net: len(circuit.fanout(net)) for net in dead}
     removed: List[str] = []
-    # Peel dead gates in reverse-topological waves so fanout constraints hold.
-    changed = True
-    while changed:
-        changed = False
-        for net in list(circuit.nets):
-            gate = circuit.gate(net)
-            if gate.is_input or net in live:
+    while True:
+        wave = len(removed)
+        remaining: List[str] = []
+        for net in dead:
+            if readers[net]:
+                remaining.append(net)
                 continue
-            if circuit.fanout(net):
-                continue
-            circuit.remove_gate(net)
             removed.append(net)
-            changed = True
+            for src in dict.fromkeys(circuit.gate(net).inputs):
+                if src in readers:
+                    readers[src] -= 1
+        if len(removed) == wave:
+            break
+        dead = remaining
+    circuit.remove_gates(removed)
     return removed
 
 

@@ -1,6 +1,6 @@
 """Technology library, synthesis-lite, and power/area analysis."""
 
-from .analysis import PowerDelta, PowerReport, analyze, switching_energy_fj
+from .analysis import PowerDelta, PowerModel, PowerReport, analyze, switching_energy_fj
 from .library import Cell, CellLibrary, LibraryParams, MAX_FANIN
 from .synthesis import MappedNetlist, map_circuit, optimize_netlist
 from .tech65 import TECH65_PARAMS, tech65_library
@@ -16,6 +16,7 @@ __all__ = [
     "optimize_netlist",
     "PowerReport",
     "PowerDelta",
+    "PowerModel",
     "analyze",
     "switching_energy_fj",
     "tech65_library",

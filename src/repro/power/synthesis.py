@@ -17,10 +17,10 @@ part of that flow the cost model needs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Sequence
 
 from ..netlist.circuit import Circuit
-from ..netlist.gate import GateType
+from ..netlist.gate import Gate
 from ..netlist.transform import (
     collapse_buffers,
     collapse_inverter_pairs,
@@ -76,8 +76,24 @@ def map_circuit(
 ) -> MappedNetlist:
     """Map every logic gate onto library cells with load-driven drive selection."""
     mapped = MappedNetlist(circuit_name=circuit.name)
+    map_gates(mapped, list(circuit.logic_gates()), circuit.fanout, library, max_iterations)
+    return mapped
+
+
+def map_gates(
+    mapped: MappedNetlist,
+    gates: Sequence[Gate],
+    readers: Callable[[str], Sequence[str]],
+    library: CellLibrary,
+    max_iterations: int = 4,
+) -> None:
+    """Map ``gates`` into ``mapped``, iterating drive choices to a fixed point.
+
+    ``readers(net)`` names the gates reading ``net``; all of them must be in
+    ``gates``, so the drive choices depend on nothing outside the set.
+    """
     # Start everything at X1.
-    for gate in circuit.logic_gates():
+    for gate in gates:
         mapped.drive_of[gate.name] = 1
         mapped.cells[gate.name] = library.cells_for_gate(
             gate.gate_type, len(gate.inputs), 1
@@ -88,12 +104,12 @@ def map_circuit(
         changed = False
         # Pin load presented by each reading gate, given current drives.
         pin_cap: Dict[str, float] = {
-            name: cells[-1].input_cap_ff for name, cells in mapped.cells.items()
+            gate.name: mapped.cells[gate.name][-1].input_cap_ff for gate in gates
         }
-        for gate in circuit.logic_gates():
-            readers = circuit.fanout(gate.name)
-            load = params.wire_cap_base_ff + params.wire_cap_per_fanout_ff * len(readers)
-            load += sum(pin_cap.get(r, params.base_pin_cap_ff) for r in readers)
+        for gate in gates:
+            readers_of = readers(gate.name)
+            load = params.wire_cap_base_ff + params.wire_cap_per_fanout_ff * len(readers_of)
+            load += sum(pin_cap.get(r, params.base_pin_cap_ff) for r in readers_of)
             drive = library.select_drive(gate.gate_type, len(gate.inputs), load)
             if drive != mapped.drive_of[gate.name]:
                 mapped.drive_of[gate.name] = drive
@@ -103,4 +119,3 @@ def map_circuit(
                 changed = True
         if not changed:
             break
-    return mapped

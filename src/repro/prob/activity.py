@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional
 
 from ..netlist.circuit import Circuit
-from ..netlist.gate import GateType
+from ..netlist.gate import Gate, GateType
 from .propagate import signal_probabilities
 
 
@@ -47,21 +47,24 @@ def switching_activity(
     # Two passes so DFF chains clocked by other DFFs settle (ripple counters).
     for _ in range(2):
         for net in order:
-            gate = circuit.gate(net)
-            if gate.gate_type is GateType.DFF:
-                clk = gate.inputs[1]
-                clk_activity = activity.get(clk, transition_probability(probs.get(clk, 0.5)))
-                activity[net] = 0.5 * clk_activity
-            elif gate.gate_type in (GateType.NOT, GateType.BUFF):
-                # Inverters/buffers toggle exactly when their input toggles —
-                # essential for ripple-counter chains, where the level-based
-                # 2p(1-p) estimate would wrongly reset the activity to 0.5.
-                src = gate.inputs[0]
-                activity[net] = activity.get(
-                    src, transition_probability(probs.get(src, 0.5))
-                )
-            elif gate.is_constant:
-                activity[net] = 0.0
-            else:
-                activity[net] = transition_probability(probs[net])
+            activity[net] = gate_activity(circuit.gate(net), probs, activity)
     return activity
+
+
+def gate_activity(
+    gate: Gate, probs: Mapping[str, float], activity: Mapping[str, float]
+) -> float:
+    """Toggle probability of ``gate``'s output given the nets computed so far."""
+    if gate.gate_type is GateType.DFF:
+        clk = gate.inputs[1]
+        clk_activity = activity.get(clk, transition_probability(probs.get(clk, 0.5)))
+        return 0.5 * clk_activity
+    if gate.gate_type in (GateType.NOT, GateType.BUFF):
+        # Inverters/buffers toggle exactly when their input toggles —
+        # essential for ripple-counter chains, where the level-based
+        # 2p(1-p) estimate would wrongly reset the activity to 0.5.
+        src = gate.inputs[0]
+        return activity.get(src, transition_probability(probs.get(src, 0.5)))
+    if gate.is_constant:
+        return 0.0
+    return transition_probability(probs[gate.name])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..netlist.circuit import Circuit
-from ..netlist.gate import GateType
+from ..netlist.gate import Gate, GateType
 from .gates import gate_output_probability
 
 #: Default primary-input one-probability, per the paper.
@@ -66,8 +66,7 @@ def signal_probabilities(
             elif gate.gate_type is GateType.DFF:
                 continue  # updated below from its d input
             else:
-                p_in = [probs[i] for i in gate.inputs]
-                probs[net] = gate_output_probability(gate.gate_type, p_in)
+                probs[net] = gate_probability(gate, probs)
         delta = 0.0
         for dff in dffs:
             d_net = circuit.gate(dff).inputs[0]
@@ -83,6 +82,11 @@ def signal_probabilities(
     else:
         sweep()
     return probs
+
+
+def gate_probability(gate: Gate, probs: Mapping[str, float]) -> float:
+    """P(output = 1) of a combinational gate from its inputs' probabilities."""
+    return gate_output_probability(gate.gate_type, [probs[i] for i in gate.inputs])
 
 
 def node_probabilities(

@@ -14,13 +14,22 @@ engine it pins:
   behind :class:`~repro.atpg.faultsim.FaultSimulator`; it processes 64
   patterns at a time as arbitrary-precision Python ints.
 
+Two netlist-walk oracles sit alongside them, each the straightforward form
+of an optimized pass:
+
+* ``reference_strip_dead_logic`` — dead-logic removal one gate per
+  :meth:`~repro.netlist.circuit.Circuit.remove_gate`, re-deriving fanout
+  after every edit (:func:`~repro.netlist.transform.strip_dead_logic`);
+* ``reference_rank_victims`` — victim ranking with one fan-out cone walk
+  per net (:func:`~repro.core.insertion.rank_victims`).
+
 Differential tests in ``tests/`` and the speedup figures of
 ``benchmarks/test_perf_sim.py`` use them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -28,6 +37,7 @@ from repro.atpg.fault import StuckAtFault
 from repro.atpg.faultsim import FaultSimResult, _evaluate_packed_int
 from repro.netlist.circuit import Circuit, NetlistError
 from repro.netlist.gate import GateType
+from repro.prob.propagate import signal_probabilities
 from repro.sim.bitsim import ALL_ONES, WORD_BITS, pack_patterns, unpack_patterns
 
 
@@ -333,3 +343,53 @@ class ReferenceSequentialSimulator:
         sequence = np.atleast_2d(np.asarray(sequence))
         traces = self.run_sequences_nets(sequence[np.newaxis], list(watch))[0]
         return {net: traces[:, i].copy() for i, net in enumerate(watch)}
+
+
+def reference_strip_dead_logic(circuit: Circuit, protect: Iterable[str] = ()) -> List[str]:
+    """Remove logic that cannot reach a protected net, in reverse-topological
+    waves over the live netlist, one ``remove_gate`` (and fanout rebuild) at a
+    time.  Returns the removed names in removal order."""
+    protected: Set[str] = set(protect) | set(circuit.outputs)
+    live: Set[str] = set()
+    stack = [n for n in protected if circuit.has_net(n)]
+    while stack:
+        net = stack.pop()
+        if net in live:
+            continue
+        live.add(net)
+        stack.extend(circuit.gate(net).inputs)
+
+    removed: List[str] = []
+    changed = True
+    while changed:
+        changed = False
+        for net in list(circuit.nets):
+            gate = circuit.gate(net)
+            if gate.is_input or net in live:
+                continue
+            if circuit.fanout(net):
+                continue
+            circuit.remove_gate(net)
+            removed.append(net)
+            changed = True
+    return removed
+
+
+def reference_rank_victims(circuit: Circuit, limit: int) -> List[str]:
+    """Victim ranking with one ``fanout_cone`` walk per internal net."""
+    probs = signal_probabilities(circuit)
+    scored: List[Tuple[int, str]] = []
+    for net in circuit.internal_nets():
+        gate = circuit.gate(net)
+        if gate.is_constant:
+            continue
+        p = probs[net]
+        if p < 0.05 or p > 0.95:
+            continue
+        cone = circuit.fanout_cone(net)
+        reach = sum(1 for n in cone if n in circuit.outputs)
+        if reach == 0:
+            continue
+        scored.append((len(cone) + 10 * reach, net))
+    scored.sort(reverse=True)
+    return [net for _, net in scored[:limit]]

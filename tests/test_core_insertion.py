@@ -3,17 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.bench import c17, c432_like, c3540_like
 from repro.core.insertion import (
     InsertionConfig,
     _exceeds,
     _pad_with_dummies,
     insert_trojan_zero,
+    rank_victims,
 )
 from repro.core.salvage import salvage
 from repro.core.thresholds import compute_thresholds
+from repro.netlist import GateType
 from repro.power import analyze
 from repro.power.analysis import PowerDelta
+from repro.trojan import insert_counter_trojan
 from repro.trojan.library import TrojanDesign
+from tests.oracles import reference_rank_victims
 
 
 def _delta(total=0.0, dynamic=0.0, leakage=0.0, area_ge=0.0):
@@ -85,6 +90,32 @@ class TestDummyPadding:
         report, delta, added = _pad_with_dummies(work, baseline, library, config)
         assert added == []
         assert abs(delta.area_ge) < 1e-6
+
+
+class TestRankVictims:
+    """The one-pass bitset ranking equals one ``fanout_cone`` walk per net."""
+
+    @pytest.mark.parametrize("build", [c17, c432_like, c3540_like])
+    def test_matches_cone_walk(self, build):
+        circuit = build()
+        everything = len(circuit)
+        assert rank_victims(circuit, everything) == reference_rank_victims(circuit, everything)
+        assert rank_victims(circuit, 8) == reference_rank_victims(circuit, 8)
+
+    def test_matches_cone_walk_through_a_dff_loop(self):
+        circuit = c432_like()
+        insert_counter_trojan(
+            circuit, victim=circuit.internal_nets()[40],
+            clock_source=circuit.internal_nets()[5], n_bits=3,
+        )
+        # A DFF whose output feeds logic that feeds the DFF back.
+        a, b = circuit.internal_nets()[60], circuit.internal_nets()[70]
+        circuit.add_gate("q", GateType.DFF, ("q_d", circuit.inputs[0]))
+        circuit.add_gate("q_d", GateType.XOR, ("q", a))
+        circuit.rewire_input(b, circuit.gate(b).inputs[0], "q_d")
+        assert circuit.is_sequential
+        everything = len(circuit)
+        assert rank_victims(circuit, everything) == reference_rank_victims(circuit, everything)
 
 
 class TestInsertionSearch:

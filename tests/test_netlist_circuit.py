@@ -120,6 +120,33 @@ class TestMutation:
         c17_circuit.remove_gate("N22")
         assert not c17_circuit.has_net("N22")
 
+    def test_remove_gates_takes_a_closed_set(self, c17_circuit):
+        c17_circuit.unset_output("N22")
+        c17_circuit.unset_output("N23")
+        names = ["N11", "N22", "N16", "N23", "N19", "N10"]  # any order
+        removed = c17_circuit.remove_gates(names)
+        assert [g.name for g in removed] == names
+        assert c17_circuit.nets == c17_circuit.inputs
+        assert c17_circuit.fanout("N3") == ()
+
+    @pytest.mark.parametrize(
+        "names",
+        [["N22", "N10", "N11"], ["N23"], ["nope"], ["N10", "N10"]],
+        ids=["surviving-reader", "primary-output", "undriven", "duplicate"],
+    )
+    def test_remove_gates_checks_before_editing(self, c17_circuit, names):
+        c17_circuit.unset_output("N22")  # N22 and N10 could go; N11 feeds N16
+        before = c17_circuit.copy()
+        with pytest.raises(NetlistError):
+            c17_circuit.remove_gates(names)
+        assert c17_circuit.nets == before.nets
+        assert c17_circuit.structural_fingerprint() == before.structural_fingerprint()
+
+    def test_remove_no_gates_keeps_caches(self, c17_circuit):
+        fanout = c17_circuit._fanout_map()
+        assert c17_circuit.remove_gates([]) == []
+        assert c17_circuit._fanout_map() is fanout
+
     def test_replace_gate_preserves_fanout(self, c17_circuit):
         c17_circuit.replace_gate("N10", GateType.TIE0, ())
         assert c17_circuit.gate("N10").gate_type is GateType.TIE0

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.bench import c17, c432_like, c499_like, c880_like, c3540_like
 from repro.netlist import (
     Circuit,
     GateType,
@@ -14,6 +17,9 @@ from repro.netlist import (
     tie_net_to_constant,
 )
 from repro.sim import compare_exhaustive, exhaustive_patterns, simulate
+from repro.trojan import insert_counter_trojan
+from tests.oracles import reference_strip_dead_logic
+from tests.test_properties import random_circuits
 
 
 class TestTieNetToConstant:
@@ -52,6 +58,52 @@ class TestStripDeadLogic:
         rare_node_circuit.unset_output("z")
         strip_dead_logic(rare_node_circuit)
         assert rare_node_circuit.has_net("b")  # input b only fed z
+
+
+class TestStripDeadLogicOracle:
+    """The one-edit peel removes exactly what one-``remove_gate``-at-a-time
+    waves remove, in the same order."""
+
+    @staticmethod
+    def _assert_matches_oracle(circuit, protect=()):
+        reference = circuit.copy()
+        removed = strip_dead_logic(circuit, protect)
+        assert removed == reference_strip_dead_logic(reference, protect)
+        assert circuit.nets == reference.nets
+
+    @pytest.mark.parametrize("build", [c17, c432_like, c499_like, c880_like, c3540_like])
+    def test_iscas_with_ties(self, build):
+        circuit = build()
+        rng = np.random.default_rng(7)
+        nets = circuit.internal_nets()
+        for net in rng.choice(nets, size=max(1, len(nets) // 12), replace=False):
+            tie_net_to_constant(circuit, str(net), int(rng.integers(2)))
+        self._assert_matches_oracle(circuit)
+
+    def test_dead_logic_behind_a_dff_loop(self):
+        circuit = c432_like()
+        insert_counter_trojan(
+            circuit, victim=circuit.outputs[0], clock_source=circuit.internal_nets()[9],
+            n_bits=3,
+        )
+        # Orphan a chain and a self-looping DFF: the DFF keeps reading itself.
+        circuit.add_gate("loop", GateType.DFF, ("loop_d", circuit.inputs[0]))
+        circuit.add_gate("loop_d", GateType.NOT, ("loop",))
+        circuit.add_gate("tail", GateType.AND, ("loop", circuit.inputs[1]))
+        self._assert_matches_oracle(circuit, protect=[circuit.internal_nets()[3]])
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(random_circuits(max_gates=30), st.integers(0, 2**31))
+    def test_random_circuits(self, circuit, seed):
+        rng = np.random.default_rng(seed)
+        for net in circuit.internal_nets():
+            if rng.random() < 0.2:
+                tie_net_to_constant(circuit, net, int(rng.integers(2)))
+        outputs = list(circuit.outputs)
+        for net in outputs[1:]:
+            if rng.random() < 0.5:
+                circuit.unset_output(net)
+        self._assert_matches_oracle(circuit)
 
 
 class TestPropagateConstants:
