@@ -17,7 +17,9 @@ reference implementations on ISCAS-scale circuits:
   (full vs. patched compiles — the structural-fingerprint cache at work),
   and (``pipeline.padding``) c499's dummy/filler padding costed by an
   incremental :class:`~repro.power.analysis.PowerModel` vs. a fresh
-  ``analyze`` per batch.
+  ``analyze`` per batch, and (``pipeline.synthesis``) c3540's Phase A
+  synthesis cleanup in one forward pass vs. the four per-gate passes
+  iterated to a fixed point.
 
 Results (before/after wall time, throughput, speedup) are merged into
 ``BENCH_perf.json`` at the repo root so the perf trajectory is tracked in
@@ -38,14 +40,16 @@ from repro.bench import c17, c499_like, c880_like, c1908_like, c3540_like
 from repro.bench.iscas_extra import c6288_like
 from repro.core.insertion import _exceeds, _pad_with_dummies
 from repro.core.pipeline import TrojanZeroPipeline
-from repro.power import analyze
+from repro.power import analyze, optimize_netlist
 from repro.sim.bitsim import BitSimulator, pack_patterns, unpack_patterns
 from repro.sim.seqsim import SequentialSimulator
 from repro.trojan import insert_counter_trojan
 from repro.trojan.library import insert_dummy_gates, insert_filler_cells
 from tests.oracles import (
     ReferenceSequentialSimulator,
+    netlist_structure,
     reference_fault_sim,
+    reference_optimize_netlist,
     reference_run_packed,
 )
 
@@ -330,4 +334,31 @@ def test_padding_incremental():
     assert speedup >= PADDING_MIN_SPEEDUP, (
         f"incremental padding speedup regressed: {speedup:.1f}x < "
         f"{PADDING_MIN_SPEEDUP}x (see {BENCH_PERF_PATH})"
+    )
+
+
+SYNTHESIS_MIN_SPEEDUP = 10.0  # loud-regression floor
+
+
+def test_optimize_netlist_one_pass():
+    """c3540 synthesis cleanup: one forward pass vs. the per-gate passes."""
+    circuit = c3540_like()
+    circuit.topological_order()  # both sides start from a warm order cache
+    t_before = _best_of(lambda: reference_optimize_netlist(circuit), 3)
+    t_after = _best_of(lambda: optimize_netlist(circuit), 5)
+    optimized = optimize_netlist(circuit)
+    assert netlist_structure(optimized) == netlist_structure(reference_optimize_netlist(circuit))
+
+    speedup = t_before / t_after
+    update_perf_report("pipeline.synthesis", {
+        "circuit": "c3540",
+        "gates_before": circuit.num_logic_gates,
+        "gates_after": optimized.num_logic_gates,
+        "before_s": t_before,
+        "after_s": t_after,
+        "speedup": speedup,
+    })
+    assert speedup >= SYNTHESIS_MIN_SPEEDUP, (
+        f"one-pass synthesis cleanup speedup regressed: {speedup:.1f}x < "
+        f"{SYNTHESIS_MIN_SPEEDUP}x (see {BENCH_PERF_PATH})"
     )

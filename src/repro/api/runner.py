@@ -211,8 +211,6 @@ class ExperimentRecord:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentRecord":
         _check_known_keys(cls, data)
-        if "spec" not in data:
-            raise ValueError("ExperimentRecord: missing required key 'spec'")
         payload = dict(data)
         payload["spec"] = ExperimentSpec.from_dict(payload["spec"])
         return cls(**payload)
@@ -311,30 +309,19 @@ def load_records(
     path: Union[str, Path], strict: bool = True
 ) -> List[ExperimentRecord]:
     """Parse a JSONL results file; ``strict`` raises on any invalid line,
-    otherwise invalid lines are skipped.
-
-    Streams line-by-line from the open handle: resume files grow with the
-    campaign grid and must never be slurped whole into memory.
-    """
-    records: List[ExperimentRecord] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(ExperimentRecord.from_json_line(line))
-            except (ValueError, TypeError, KeyError) as exc:
-                if strict:
-                    raise ValueError(
-                        f"{path}:{lineno}: invalid record: {exc}"
-                    ) from exc
-    return records
+    otherwise invalid lines are skipped."""
+    return list(iter_records(path, strict))
 
 
 def iter_records(
     path: Union[str, Path], strict: bool = True
 ) -> "Iterator[ExperimentRecord]":
-    """Streaming variant of :func:`load_records` (one record at a time)."""
+    """Stream records from a JSONL results file one at a time (see
+    :func:`load_records` for ``strict``).
+
+    Reads line-by-line from the open handle: resume files grow with the
+    campaign grid and must never be slurped whole into memory.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():

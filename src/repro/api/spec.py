@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Any, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 #: Table I per-benchmark parameters: registry name -> (Pth, counter bits).
@@ -83,12 +83,29 @@ def spec_hash(spec: Any) -> str:
 
 
 def _check_known_keys(cls, data: dict) -> None:
+    """Reject a non-dict, an unknown key, or a missing required key."""
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"{cls.__name__}: expected an object, got {type(data).__name__}"
+        )
     known = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - known)
     if unknown:
         raise ValueError(
             f"{cls.__name__}: unknown keys {unknown}; known keys: {sorted(known)}"
         )
+    missing = sorted(
+        f.name
+        for f in fields(cls)
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING
+    )
+    if missing:
+        raise ValueError(f"{cls.__name__}: missing keys {missing}")
+
+
+def _is_int(value: Any) -> bool:
+    """True for an int that is not a bool (bool is an int subclass)."""
+    return isinstance(value, int) and type(value) is not bool
 
 
 @dataclass(frozen=True)
@@ -130,16 +147,39 @@ class ExperimentSpec:
     max_candidates: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.circuit, str):
+            raise ValueError(f"circuit must be a str, got {self.circuit!r}")
+        for name in ("design", "detector"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name} must be None or a str, got {value!r}")
+        if type(self.pth) is bool or not isinstance(self.pth, (int, float)):
+            raise ValueError(f"pth must be a number, got {self.pth!r}")
         if not 0.5 < self.pth <= 1.0:
             raise ValueError(f"pth must be in (0.5, 1.0], got {self.pth}")
-        if self.seed is not None and (
-            type(self.seed) is bool or not isinstance(self.seed, int) or self.seed < 0
-        ):
+        if self.seed is not None and (not _is_int(self.seed) or self.seed < 0):
             raise ValueError(
                 f"seed must be None or a non-negative int, got {self.seed!r}"
             )
-        if self.mc_sessions < 0:
-            raise ValueError(f"mc_sessions must be >= 0, got {self.mc_sessions}")
+        if not _is_int(self.mc_sessions) or self.mc_sessions < 0:
+            raise ValueError(
+                f"mc_sessions must be an int >= 0, got {self.mc_sessions!r}"
+            )
+        if not _is_int(self.detector_chips) or self.detector_chips < 1:
+            raise ValueError(
+                f"detector_chips must be an int >= 1, got {self.detector_chips!r}"
+            )
+        if not _is_int(self.additive_gates) or self.additive_gates < 0:
+            raise ValueError(
+                f"additive_gates must be an int >= 0, got {self.additive_gates!r}"
+            )
+        if self.max_candidates is not None and (
+            not _is_int(self.max_candidates) or self.max_candidates < 0
+        ):
+            raise ValueError(
+                "max_candidates must be None or a non-negative int, "
+                f"got {self.max_candidates!r}"
+            )
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:
@@ -378,6 +418,11 @@ class CampaignSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignSpec":
         _check_known_keys(cls, data)
+        if not isinstance(data["experiments"], (list, tuple)):
+            raise ValueError(
+                "CampaignSpec: experiments must be a list, "
+                f"got {type(data['experiments']).__name__}"
+            )
         return cls(
             name=data["name"],
             experiments=tuple(

@@ -11,10 +11,8 @@ from .gate import (
     evaluate_gate,
 )
 from .transform import (
-    collapse_buffers,
-    collapse_inverter_pairs,
     insert_mux_on_net,
-    propagate_constants,
+    optimize_netlist,
     strip_dead_logic,
     tie_net_to_constant,
 )
@@ -32,9 +30,7 @@ __all__ = [
     "evaluate_gate",
     "tie_net_to_constant",
     "strip_dead_logic",
-    "propagate_constants",
-    "collapse_buffers",
-    "collapse_inverter_pairs",
+    "optimize_netlist",
     "insert_mux_on_net",
     "assert_valid",
     "validate",

@@ -43,7 +43,6 @@ class Circuit:
         self._gates: Dict[str, Gate] = {}
         self._inputs: List[str] = []
         self._outputs: List[str] = []
-        self._dirty = True
         self._topo_cache: Optional[List[str]] = None
         self._fanout_cache: Optional[Dict[str, Tuple[str, ...]]] = None
         self._level_cache: Optional[Dict[str, int]] = None
@@ -354,7 +353,6 @@ class Circuit:
         return dup
 
     def _invalidate(self) -> None:
-        self._dirty = True
         self._topo_cache = None
         self._fanout_cache = None
         self._level_cache = None

@@ -7,13 +7,14 @@ These implement the circuit-editing moves the TrojanZero flow relies on:
 * :func:`strip_dead_logic` — remove gates whose output no longer reaches any
   primary output ("each of the previous gates is eliminated safely if its
   output is not connected to any other node of the circuit").
-* :func:`propagate_constants` — synthesis-style constant folding, used by the
-  light synthesis pass to estimate the power/area the defender's tool would
-  report for the modified circuit.
-* :func:`collapse_buffers` / :func:`collapse_inverter_pairs` — cleanup passes.
+* :func:`optimize_netlist` — the cleanup a power-optimizing synthesis tool
+  performs on the HT-free circuit (constant folding, buffer and
+  double-inverter collapse, dead-logic removal) in one forward pass; the
+  folding rules are :func:`_fold_gate`'s.
 
-All transforms mutate the circuit they are given; call ``circuit.copy()``
-first to preserve the original (Algorithm 1 reverts failed removals this way).
+The editing moves mutate the circuit they are given; call ``circuit.copy()``
+first to preserve the original (Algorithm 1 reverts failed removals this
+way).  :func:`optimize_netlist` returns a new circuit.
 """
 
 from __future__ import annotations
@@ -89,40 +90,64 @@ def strip_dead_logic(circuit: Circuit, protect: Iterable[str] = ()) -> List[str]
     return removed
 
 
-def propagate_constants(circuit: Circuit) -> List[str]:
-    """Fold TIE0/TIE1 cells through downstream logic (synthesis-style).
+def optimize_netlist(circuit: Circuit) -> Circuit:
+    """Return a min-power-synthesized copy of ``circuit``.
 
-    This is what a power-optimizing synthesis tool does to a netlist with tied
-    nets; TrojanZero's *attacker* does **not** run it on the fabricated circuit
-    (the tie cells physically remain), but the pass is needed to (a) verify the
-    logical effect of a tie and (b) build reduced reference models.
+    Mirrors what Design Compiler does before the defender characterizes the
+    HT-free circuit: constants are folded through downstream logic, buffer
+    and double-inverter chains collapse, and logic that cannot reach an
+    output is stripped.  Without this, trivially foldable gates would survive
+    into ``N`` and inflate Algorithm 1's salvage numbers dishonestly.
 
-    Returns the list of nets whose drivers were simplified.
+    One pass in topological order rewrites each gate once.  Its inputs are
+    read through ``rep`` (the net a reader reads instead of a collapsed
+    one), TIE inputs fold by :func:`_fold_gate`, and a BUFF or the outer NOT
+    of ``NOT(NOT(x))`` that is not a primary output becomes a ``rep`` entry
+    instead of a gate.  DFFs are never folded; they read nets later in the
+    order, so their inputs go through ``rep`` at the end.  Survivors keep
+    the input's gate-map order, and dead logic goes in one final strip.
     """
-    simplified: List[str] = []
-    changed = True
-    while changed:
-        changed = False
-        const_nets: Dict[str, int] = {
-            g.name: (1 if g.gate_type is GateType.TIE1 else 0)
-            for g in circuit.logic_gates()
-            if g.is_constant
-        }
-        if not const_nets:
-            break
-        for net in circuit.topological_order():
-            gate = circuit.gate(net)
-            if gate.is_input or gate.is_constant or gate.is_sequential:
+    outputs = set(circuit.outputs)
+    rep: Dict[str, str] = {}
+    const_nets: Dict[str, int] = {}
+    kept: Dict[str, Gate] = {}
+    for net in circuit.topological_order():
+        gate = circuit.gate(net)
+        if gate.is_input or gate.is_sequential:
+            kept[net] = gate
+            continue
+        if any(i in rep for i in gate.inputs):
+            gate = gate.with_inputs([rep.get(i, i) for i in gate.inputs])
+        if any(i in const_nets for i in gate.inputs):
+            folded = _fold_gate(gate, const_nets)
+            if folded is not None:
+                gate = Gate(net, *folded)
+        if gate.is_constant:
+            const_nets[net] = 1 if gate.gate_type is GateType.TIE1 else 0
+        elif net not in outputs:
+            if gate.gate_type is GateType.BUFF:
+                rep[net] = gate.inputs[0]
                 continue
-            const_ins = [i for i in gate.inputs if i in const_nets]
-            if not const_ins:
-                continue
-            new_gate = _fold_gate(gate, const_nets)
-            if new_gate is not None:
-                circuit.replace_gate(net, new_gate[0], new_gate[1])
-                simplified.append(net)
-                changed = True
-    return simplified
+            if gate.gate_type is GateType.NOT:
+                inner = kept[gate.inputs[0]]
+                if inner.gate_type is GateType.NOT:
+                    rep[net] = inner.inputs[0]
+                    continue
+        kept[net] = gate
+
+    gates: Dict[str, Gate] = {}
+    for net in circuit.nets:
+        if net in kept:
+            gate = kept[net]
+            if gate.is_sequential:
+                gate = gate.with_inputs([rep.get(i, i) for i in gate.inputs])
+            gates[net] = gate
+    optimized = circuit.copy()
+    if gates != optimized._gates:
+        optimized._gates = gates
+        optimized._invalidate()
+    strip_dead_logic(optimized)
+    return optimized
 
 
 def _fold_gate(
@@ -200,47 +225,6 @@ def _fold_gate(
         return (GateType.XNOR if invert else GateType.XOR, tuple(remaining))
 
     return None
-
-
-def collapse_buffers(circuit: Circuit) -> int:
-    """Bypass BUFF gates whose output is not a primary output.  Returns count."""
-    collapsed = 0
-    for net in list(circuit.nets):
-        if not circuit.has_net(net):
-            continue
-        gate = circuit.gate(net)
-        if gate.gate_type is not GateType.BUFF or net in circuit.outputs:
-            continue
-        source = gate.inputs[0]
-        for reader in list(circuit.fanout(net)):
-            circuit.rewire_input(reader, net, source)
-        if not circuit.fanout(net):
-            circuit.remove_gate(net)
-            collapsed += 1
-    return collapsed
-
-
-def collapse_inverter_pairs(circuit: Circuit) -> int:
-    """Rewire readers of NOT(NOT(x)) chains directly to x.  Returns count."""
-    collapsed = 0
-    for net in list(circuit.nets):
-        if not circuit.has_net(net):
-            continue
-        gate = circuit.gate(net)
-        if gate.gate_type is not GateType.NOT:
-            continue
-        inner = circuit.gate(gate.inputs[0])
-        if inner.gate_type is not GateType.NOT:
-            continue
-        source = inner.inputs[0]
-        if net in circuit.outputs:
-            continue
-        for reader in list(circuit.fanout(net)):
-            circuit.rewire_input(reader, net, source)
-        if not circuit.fanout(net):
-            circuit.remove_gate(net)
-            collapsed += 1
-    return collapsed
 
 
 def insert_mux_on_net(

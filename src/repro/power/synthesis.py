@@ -5,9 +5,12 @@ optimizing it for minimum power" (Sec. II-A.2).  This module provides the
 part of that flow the cost model needs:
 
 * :func:`optimize_netlist` — netlist cleanup a power-optimizing tool performs
-  (buffer collapse, double-inverter collapse).  Constant propagation is *not*
-  applied by default: Algorithm 1's tie-to-constant edits are physical edits
-  on the fabricated netlist, and the tie cell plus its fanout gates remain.
+  (constant folding, buffer and double-inverter collapse, dead-logic
+  removal).  It lives in :mod:`repro.netlist.transform` beside the folding
+  rules and is re-exported here as the synthesis step.  Phase A runs it on
+  the HT-free circuit only: Algorithm 1's tie-to-constant edits are physical
+  edits on the fabricated netlist, and the tie cell plus its fanout gates
+  remain.
 * :func:`map_circuit` — assign every logic gate a list of library cells
   (decomposing over-wide gates into trees) and pick the smallest drive
   strength that carries the gate's fanout load, iterating because drive
@@ -21,12 +24,7 @@ from typing import Callable, Dict, List, Sequence
 
 from ..netlist.circuit import Circuit
 from ..netlist.gate import Gate
-from ..netlist.transform import (
-    collapse_buffers,
-    collapse_inverter_pairs,
-    propagate_constants,
-    strip_dead_logic,
-)
+from ..netlist.transform import optimize_netlist  # noqa: F401 — re-exported
 from .library import Cell, CellLibrary
 
 
@@ -46,27 +44,6 @@ class MappedNetlist:
     @property
     def cell_count(self) -> int:
         return sum(len(v) for v in self.cells.values())
-
-
-def optimize_netlist(circuit: Circuit) -> Circuit:
-    """Return a min-power-synthesized copy of ``circuit``.
-
-    Mirrors what Design Compiler does before the defender characterizes the
-    HT-free circuit: constants are folded through downstream logic, buffer
-    and double-inverter chains collapse, and logic that cannot reach an
-    output is stripped.  Without this, trivially foldable gates would survive
-    into ``N`` and inflate Algorithm 1's salvage numbers dishonestly.
-    """
-    optimized = circuit.copy()
-    # Iterate to a fixed point: each pass can expose work for the others.
-    for _ in range(16):
-        changed = len(propagate_constants(optimized))
-        changed += collapse_buffers(optimized)
-        changed += collapse_inverter_pairs(optimized)
-        changed += len(strip_dead_logic(optimized))
-        if not changed:
-            break
-    return optimized
 
 
 def map_circuit(

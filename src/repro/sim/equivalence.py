@@ -10,7 +10,7 @@ equivalence on small blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -55,18 +55,8 @@ def compare_on_patterns(
     _check_interfaces(golden, candidate)
     patterns = np.atleast_2d(np.asarray(patterns))
     golden_out = BitSimulator(golden).run(patterns)
-    # Align candidate output columns to the golden ordering.
-    cand_sim = BitSimulator(candidate).run(patterns)
-    col = {name: i for i, name in enumerate(candidate.outputs)}
-    cand_out = cand_sim[:, [col[o] for o in golden.outputs]]
-    diff = golden_out != cand_out
-    mism = int(diff.sum())
-    witnesses: List[Tuple[int, str]] = []
-    if mism:
-        rows, cols = np.nonzero(diff)
-        for r, c in zip(rows[:max_witnesses], cols[:max_witnesses]):
-            witnesses.append((int(r), golden.outputs[int(c)]))
-    return ComparisonResult(mism == 0, patterns.shape[0], mism, witnesses)
+    cand_out = BitSimulator(candidate).run(patterns)
+    return _diff_outputs(golden, candidate, golden_out, cand_out, max_witnesses)
 
 
 def compare_sequential_on_patterns(
@@ -85,18 +75,28 @@ def compare_sequential_on_patterns(
     _check_interfaces(golden, candidate)
     patterns = np.atleast_2d(np.asarray(patterns))
     golden_out = BitSimulator(golden).run(patterns)
-    seq = SequentialSimulator(candidate)
-    cand_raw = seq.run_sequences(patterns[np.newaxis, :, :])[0]
+    cand_out = SequentialSimulator(candidate).run_sequences(patterns[np.newaxis, :, :])[0]
+    return _diff_outputs(golden, candidate, golden_out, cand_out, max_witnesses)
+
+
+def _diff_outputs(
+    golden: Circuit,
+    candidate: Circuit,
+    golden_out: np.ndarray,
+    cand_out: np.ndarray,
+    max_witnesses: int,
+) -> ComparisonResult:
+    """Diff two output matrices, aligning the candidate's columns to the
+    golden output order first."""
     col = {name: i for i, name in enumerate(candidate.outputs)}
-    cand_out = cand_raw[:, [col[o] for o in golden.outputs]]
-    diff = golden_out != cand_out
+    diff = golden_out != cand_out[:, [col[o] for o in golden.outputs]]
     mism = int(diff.sum())
-    witnesses: List[Tuple[int, str]] = []
-    if mism:
-        rows, cols = np.nonzero(diff)
-        for r, c in zip(rows[:max_witnesses], cols[:max_witnesses]):
-            witnesses.append((int(r), golden.outputs[int(c)]))
-    return ComparisonResult(mism == 0, patterns.shape[0], mism, witnesses)
+    rows, cols = np.nonzero(diff)
+    witnesses = [
+        (int(r), golden.outputs[int(c)])
+        for r, c in zip(rows[:max_witnesses], cols[:max_witnesses])
+    ]
+    return ComparisonResult(mism == 0, golden_out.shape[0], mism, witnesses)
 
 
 def compare_exhaustive(
@@ -114,15 +114,15 @@ def functional_test(
     candidate: Circuit,
     golden: Circuit,
     pattern_sets: Sequence[np.ndarray],
-    sequential_aware: bool = True,
 ) -> bool:
     """Run the defender's q testing algorithms (pattern sets) — all must pass.
 
     Mirrors Algorithm 1 lines 17-22 / Algorithm 2 lines 3-8: iterate the
-    defender's test algorithms, stop at the first failure.
+    defender's test algorithms, stop at the first failure.  A sequential
+    candidate sees each pattern set as one ordered sequence.
     """
     for patterns in pattern_sets:
-        if candidate.is_sequential and sequential_aware:
+        if candidate.is_sequential:
             result = compare_sequential_on_patterns(golden, candidate, patterns)
         else:
             result = compare_on_patterns(golden, candidate, patterns)

@@ -93,35 +93,6 @@ class SequentialSimulator:
         )
         return values
 
-    def step_packed(self, packed_inputs: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """Apply one input vector (packed across sequences); returns settled nets.
-
-        Compatibility shim around the matrix engine: materializes a
-        net-keyed dict (copies, safe to hold across steps).  Batched callers
-        should prefer :meth:`run_sequences_nets`.
-        """
-        if self._state is None:
-            if self._dffs:
-                raise RuntimeError("call reset() before stepping")
-            n_words = len(next(iter(packed_inputs.values()))) if packed_inputs else 1
-            self.reset(64 * n_words)
-        if self.circuit.inputs:
-            packed = np.stack(
-                [
-                    np.asarray(packed_inputs[pi], dtype=np.uint64)
-                    for pi in self.circuit.inputs
-                ]
-            )
-        else:
-            packed = np.zeros((0, self._n_words), dtype=np.uint64)
-        values = self._step_matrix(packed)
-        index = self._compiled.index
-        return {
-            net: values[index[net]].copy()
-            for net in self._compiled.order
-            if net in self.circuit
-        }
-
     # ------------------------------------------------------------------
     # batched sequence APIs
     # ------------------------------------------------------------------

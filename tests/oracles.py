@@ -14,12 +14,16 @@ engine it pins:
   behind :class:`~repro.atpg.faultsim.FaultSimulator`; it processes 64
   patterns at a time as arbitrary-precision Python ints.
 
-Two netlist-walk oracles sit alongside them, each the straightforward form
+Three netlist-walk oracles sit alongside them, each the straightforward form
 of an optimized pass:
 
 * ``reference_strip_dead_logic`` — dead-logic removal one gate per
   :meth:`~repro.netlist.circuit.Circuit.remove_gate`, re-deriving fanout
   after every edit (:func:`~repro.netlist.transform.strip_dead_logic`);
+* ``reference_optimize_netlist`` — synthesis cleanup as four per-gate
+  passes (constant folding, buffer collapse, inverter-pair collapse,
+  dead-logic strip) iterated to a fixed point
+  (:func:`~repro.netlist.transform.optimize_netlist`);
 * ``reference_rank_victims`` — victim ranking with one fan-out cone walk
   per net (:func:`~repro.core.insertion.rank_victims`).
 
@@ -37,6 +41,7 @@ from repro.atpg.fault import StuckAtFault
 from repro.atpg.faultsim import FaultSimResult, _evaluate_packed_int
 from repro.netlist.circuit import Circuit, NetlistError
 from repro.netlist.gate import GateType
+from repro.netlist.transform import _fold_gate, strip_dead_logic
 from repro.prob.propagate import signal_probabilities
 from repro.sim.bitsim import ALL_ONES, WORD_BITS, pack_patterns, unpack_patterns
 
@@ -373,6 +378,101 @@ def reference_strip_dead_logic(circuit: Circuit, protect: Iterable[str] = ()) ->
             removed.append(net)
             changed = True
     return removed
+
+
+def netlist_structure(circuit: Circuit):
+    """PI list, PO list and the gate map in order: what two structurally
+    identical circuits share."""
+    return (
+        circuit.inputs,
+        circuit.outputs,
+        [(g.name, g.gate_type, g.inputs) for g in circuit.gates()],
+    )
+
+
+def reference_optimize_netlist(circuit: Circuit) -> Circuit:
+    """Synthesis cleanup on a copy: the four passes below, rerun until a
+    round changes nothing (at most 16 rounds)."""
+    optimized = circuit.copy()
+    # Iterate to a fixed point: each pass can expose work for the others.
+    for _ in range(16):
+        changed = len(_propagate_constants(optimized))
+        changed += _collapse_buffers(optimized)
+        changed += _collapse_inverter_pairs(optimized)
+        changed += len(strip_dead_logic(optimized))
+        if not changed:
+            break
+    return optimized
+
+
+def _propagate_constants(circuit: Circuit) -> List[str]:
+    """Fold TIE0/TIE1 cells through downstream logic, one ``replace_gate``
+    per folded gate, until nothing folds.  Returns the simplified nets."""
+    simplified: List[str] = []
+    changed = True
+    while changed:
+        changed = False
+        const_nets: Dict[str, int] = {
+            g.name: (1 if g.gate_type is GateType.TIE1 else 0)
+            for g in circuit.logic_gates()
+            if g.is_constant
+        }
+        if not const_nets:
+            break
+        for net in circuit.topological_order():
+            gate = circuit.gate(net)
+            if gate.is_input or gate.is_constant or gate.is_sequential:
+                continue
+            const_ins = [i for i in gate.inputs if i in const_nets]
+            if not const_ins:
+                continue
+            new_gate = _fold_gate(gate, const_nets)
+            if new_gate is not None:
+                circuit.replace_gate(net, new_gate[0], new_gate[1])
+                simplified.append(net)
+                changed = True
+    return simplified
+
+
+def _collapse_buffers(circuit: Circuit) -> int:
+    """Bypass BUFF gates whose output is not a primary output.  Returns count."""
+    collapsed = 0
+    for net in list(circuit.nets):
+        if not circuit.has_net(net):
+            continue
+        gate = circuit.gate(net)
+        if gate.gate_type is not GateType.BUFF or net in circuit.outputs:
+            continue
+        source = gate.inputs[0]
+        for reader in list(circuit.fanout(net)):
+            circuit.rewire_input(reader, net, source)
+        if not circuit.fanout(net):
+            circuit.remove_gate(net)
+            collapsed += 1
+    return collapsed
+
+
+def _collapse_inverter_pairs(circuit: Circuit) -> int:
+    """Rewire readers of NOT(NOT(x)) chains directly to x.  Returns count."""
+    collapsed = 0
+    for net in list(circuit.nets):
+        if not circuit.has_net(net):
+            continue
+        gate = circuit.gate(net)
+        if gate.gate_type is not GateType.NOT:
+            continue
+        inner = circuit.gate(gate.inputs[0])
+        if inner.gate_type is not GateType.NOT:
+            continue
+        source = inner.inputs[0]
+        if net in circuit.outputs:
+            continue
+        for reader in list(circuit.fanout(net)):
+            circuit.rewire_input(reader, net, source)
+        if not circuit.fanout(net):
+            circuit.remove_gate(net)
+            collapsed += 1
+    return collapsed
 
 
 def reference_rank_victims(circuit: Circuit, limit: int) -> List[str]:

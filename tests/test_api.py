@@ -31,6 +31,57 @@ from repro.core import TableRow
 from repro.trojan.library import TrojanDesign
 
 
+def _one_cell(**fields):
+    return {"name": "x", "experiments": [{"circuit": "c17", **fields}]}
+
+
+#: Campaign bodies that must be refused with a one-line ``ValueError``:
+#: (campaign dict, fragment the message must contain).
+MALFORMED_CAMPAIGNS = [
+    pytest.param({"name": "x"}, "missing keys ['experiments']", id="no-experiments"),
+    pytest.param({"experiments": []}, "missing keys ['name']", id="no-name"),
+    pytest.param([], "expected an object, got list", id="campaign-list"),
+    pytest.param(
+        {"name": "x", "experiments": 5}, "experiments must be a list", id="experiments-int"
+    ),
+    pytest.param({"name": "x", "experiments": [5]}, "expected an object", id="cell-int"),
+    pytest.param(
+        {"name": "x", "experiments": [{"pth": 0.9}]}, "missing keys ['circuit']",
+        id="no-circuit",
+    ),
+    pytest.param(
+        {"name": "x", "experiments": [{"circuit": 3}]}, "circuit must be a str",
+        id="circuit-int",
+    ),
+    pytest.param(_one_cell(design=5), "design must be None or a str", id="design-int"),
+    pytest.param(_one_cell(detector=[]), "detector must be None or a str", id="detector-list"),
+    pytest.param(_one_cell(pth="high"), "pth must be a number", id="pth-str"),
+    pytest.param(_one_cell(pth=True), "pth must be a number", id="pth-bool"),
+    pytest.param(_one_cell(mc_sessions=1.5), "mc_sessions must be an int", id="mc-float"),
+    pytest.param(_one_cell(mc_sessions="8"), "mc_sessions must be an int", id="mc-str"),
+    pytest.param(_one_cell(detector_chips=0), "detector_chips must be", id="chips-zero"),
+    pytest.param(_one_cell(additive_gates=-1), "additive_gates must be", id="additive-neg"),
+    pytest.param(_one_cell(max_candidates="a"), "max_candidates must be", id="maxcand-str"),
+    pytest.param(_one_cell(max_candidates=-2), "max_candidates must be", id="maxcand-neg"),
+]
+
+
+class TestMalformedSpecs:
+    @pytest.mark.parametrize("body, message", MALFORMED_CAMPAIGNS)
+    def test_rejected_with_one_line_error(self, body, message):
+        with pytest.raises(ValueError) as err:
+            CampaignSpec.from_dict(body)
+        assert message in str(err.value)
+        assert "\n" not in str(err.value)
+
+    def test_boundary_values_accepted(self):
+        spec = ExperimentSpec(
+            circuit="c17", pth=1, mc_sessions=0, detector_chips=1,
+            additive_gates=0, max_candidates=0,
+        )
+        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+
+
 class TestSpecSerialization:
     def test_spec_round_trip(self):
         spec = ExperimentSpec(

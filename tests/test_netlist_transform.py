@@ -5,20 +5,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bench import c17, c432_like, c499_like, c880_like, c3540_like
+from repro.bench import BENCHMARKS, c17, c432_like, c499_like, c880_like, c3540_like
 from repro.netlist import (
+    FIXED_ARITY,
     Circuit,
     GateType,
-    collapse_buffers,
-    collapse_inverter_pairs,
     insert_mux_on_net,
-    propagate_constants,
+    optimize_netlist,
     strip_dead_logic,
     tie_net_to_constant,
 )
 from repro.sim import compare_exhaustive, exhaustive_patterns, simulate
 from repro.trojan import insert_counter_trojan
-from tests.oracles import reference_strip_dead_logic
+from tests.oracles import (
+    netlist_structure,
+    reference_optimize_netlist,
+    reference_strip_dead_logic,
+)
 from tests.test_properties import random_circuits
 
 
@@ -106,22 +109,111 @@ class TestStripDeadLogicOracle:
         self._assert_matches_oracle(circuit)
 
 
-class TestPropagateConstants:
-    def _folded(self, circuit):
-        propagate_constants(circuit)
-        return circuit
+def _optimized(circuit):
+    """``optimize_netlist(circuit)``, checked against the per-pass oracle."""
+    optimized = optimize_netlist(circuit)
+    assert netlist_structure(optimized) == netlist_structure(reference_optimize_netlist(circuit))
+    return optimized
 
+
+_CLEANUP_CHOICES = [
+    GateType.AND,
+    GateType.NAND,
+    GateType.OR,
+    GateType.NOR,
+    GateType.XOR,
+    GateType.XNOR,
+    GateType.MUX,
+    GateType.NOT,
+    GateType.NOT,
+    GateType.NOT,
+    GateType.BUFF,
+    GateType.BUFF,
+    GateType.BUFF,
+    GateType.TIE0,
+    GateType.TIE1,
+]
+
+
+@st.composite
+def cleanup_circuits(draw, max_gates=30):
+    """Random netlist rich in what synthesis cleanup rewrites: TIE cells,
+    BUFF/NOT chains, buffers and inverters on primary outputs, MUXes, dead
+    logic, and DFFs whose D input may be any gate (sequential loops)."""
+    circuit = Circuit("cleanup")
+    available = [circuit.add_input(f"i{k}") for k in range(draw(st.integers(1, 4)))]
+    n_gates = draw(st.integers(1, max_gates))
+    for k in range(draw(st.integers(0, 3))):
+        d_input = f"g{draw(st.integers(0, n_gates - 1))}"
+        clock = draw(st.sampled_from(available))
+        available.append(circuit.add_gate(f"q{k}", GateType.DFF, (d_input, clock)))
+    for g in range(n_gates):
+        gate_type = draw(st.sampled_from(_CLEANUP_CHOICES))
+        if gate_type in FIXED_ARITY:
+            arity = FIXED_ARITY[gate_type]
+        else:
+            arity = draw(st.integers(2, 3))
+        # Half the pins read the newest net, which builds BUFF/NOT chains.
+        inputs = [
+            available[-1] if draw(st.booleans()) else draw(st.sampled_from(available))
+            for _ in range(arity)
+        ]
+        available.append(circuit.add_gate(f"g{g}", gate_type, inputs))
+    logic = circuit.internal_nets()
+    sinks = [net for net in logic if not circuit.fanout(net)]
+    dropped = draw(st.sets(st.sampled_from(sinks))) if sinks else set()
+    extra = draw(st.lists(st.sampled_from(logic), max_size=4))
+    for net in [n for n in sinks if n not in dropped] + extra:
+        circuit.set_output(net)
+    if not circuit.outputs:
+        circuit.set_output(logic[-1])
+    return circuit
+
+
+class TestOptimizeNetlistOracle:
+    """The one forward pass builds exactly the gate map that the per-gate
+    passes reach at their fixed point, gate-map order included."""
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_registered_benchmarks(self, name):
+        _optimized(BENCHMARKS[name]())
+
+    def test_counter_trojan_and_dff_loop(self):
+        circuit = c432_like()
+        insert_counter_trojan(
+            circuit, victim=circuit.outputs[0], clock_source=circuit.internal_nets()[9],
+            n_bits=3,
+        )
+        # A DFF loop through a collapsible buffer: the DFF, listed first,
+        # must end up reading the buffer's source.
+        circuit.add_gate("loop", GateType.DFF, ("loop_b", circuit.inputs[0]))
+        circuit.add_gate("loop_b", GateType.BUFF, ("loop_d",))
+        circuit.add_gate("loop_d", GateType.NOT, ("loop",))
+        circuit.set_output("loop_d")
+        assert _optimized(circuit).gate("loop").inputs[0] == "loop_d"
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(cleanup_circuits())
+    def test_random_circuits(self, circuit):
+        _optimized(circuit)
+
+    def test_leaves_its_input_unchanged(self, c880_circuit):
+        before = netlist_structure(c880_circuit)
+        optimize_netlist(c880_circuit)
+        assert netlist_structure(c880_circuit) == before
+
+
+class TestPropagateConstants:
     def test_and_with_zero_folds_to_tie0(self, tiny_and_circuit):
-        tie = tiny_and_circuit.add_gate("zero", GateType.TIE0, ())
+        tiny_and_circuit.add_gate("zero", GateType.TIE0, ())
         tiny_and_circuit.replace_gate("out", GateType.AND, ("a", "zero"))
-        self._folded(tiny_and_circuit)
-        assert tiny_and_circuit.gate("out").gate_type is GateType.TIE0
+        folded = _optimized(tiny_and_circuit)
+        assert folded.gate("out").gate_type is GateType.TIE0
 
     def test_and_with_one_drops_input(self, tiny_and_circuit):
         tiny_and_circuit.add_gate("one", GateType.TIE1, ())
         tiny_and_circuit.replace_gate("out", GateType.AND, ("a", "b", "one"))
-        self._folded(tiny_and_circuit)
-        gate = tiny_and_circuit.gate("out")
+        gate = _optimized(tiny_and_circuit).gate("out")
         assert gate.gate_type is GateType.AND
         assert set(gate.inputs) == {"a", "b"}
 
@@ -131,8 +223,7 @@ class TestPropagateConstants:
         c.add_gate("one", GateType.TIE1, ())
         c.add_gate("out", GateType.NAND, ("a", "one"))
         c.set_output("out")
-        propagate_constants(c)
-        assert c.gate("out").gate_type is GateType.NOT
+        assert _optimized(c).gate("out").gate_type is GateType.NOT
 
     def test_xor_parity_absorbs_constants(self):
         c = Circuit()
@@ -140,8 +231,7 @@ class TestPropagateConstants:
         c.add_gate("one", GateType.TIE1, ())
         c.add_gate("out", GateType.XOR, ("a", "one"))
         c.set_output("out")
-        propagate_constants(c)
-        assert c.gate("out").gate_type is GateType.NOT
+        assert _optimized(c).gate("out").gate_type is GateType.NOT
 
     def test_mux_constant_select(self):
         c = Circuit()
@@ -150,8 +240,7 @@ class TestPropagateConstants:
         c.add_gate("one", GateType.TIE1, ())
         c.add_gate("out", GateType.MUX, ("a", "b", "one"))
         c.set_output("out")
-        propagate_constants(c)
-        gate = c.gate("out")
+        gate = _optimized(c).gate("out")
         assert gate.gate_type is GateType.BUFF
         assert gate.inputs == ("b",)
 
@@ -162,8 +251,7 @@ class TestPropagateConstants:
         c.add_gate("one", GateType.TIE1, ())
         c.add_gate("out", GateType.MUX, ("one", "zero", "s"))
         c.set_output("out")
-        propagate_constants(c)
-        assert c.gate("out").gate_type is GateType.NOT
+        assert _optimized(c).gate("out").gate_type is GateType.NOT
 
     def test_chain_folds_transitively(self):
         c = Circuit()
@@ -172,16 +260,13 @@ class TestPropagateConstants:
         c.add_gate("m", GateType.OR, ("zero", "zero"))
         c.add_gate("out", GateType.AND, ("a", "m"))
         c.set_output("out")
-        propagate_constants(c)
-        assert c.gate("out").gate_type is GateType.TIE0
+        assert _optimized(c).gate("out").gate_type is GateType.TIE0
 
     def test_fold_preserves_function_on_c17_with_tie(self, c17_circuit):
         # Tie an internal net and check folding agrees with the tied circuit.
         tied = c17_circuit.copy("tied")
         tie_net_to_constant(tied, "N10", 1)
-        folded = tied.copy("folded")
-        propagate_constants(folded)
-        assert compare_exhaustive(tied, folded).equivalent
+        assert compare_exhaustive(tied, _optimized(tied)).equivalent
 
 
 class TestCollapsePasses:
@@ -191,15 +276,16 @@ class TestCollapsePasses:
         c.add_gate("buf", GateType.BUFF, ("a",))
         c.add_gate("out", GateType.NOT, ("buf",))
         c.set_output("out")
-        assert collapse_buffers(c) == 1
-        assert c.gate("out").inputs == ("a",)
+        collapsed = _optimized(c)
+        assert not collapsed.has_net("buf")
+        assert collapsed.gate("out").inputs == ("a",)
 
     def test_buffer_driving_output_kept(self):
         c = Circuit()
         c.add_input("a")
         c.add_gate("buf", GateType.BUFF, ("a",))
         c.set_output("buf")
-        assert collapse_buffers(c) == 0
+        assert netlist_structure(_optimized(c)) == netlist_structure(c)
 
     def test_collapse_inverter_pairs(self):
         c = Circuit()
@@ -208,11 +294,12 @@ class TestCollapsePasses:
         c.add_gate("n2", GateType.NOT, ("n1",))
         c.add_gate("out", GateType.AND, ("n2", "a"))
         c.set_output("out")
-        before = simulate(c.copy(), exhaustive_patterns(1))
-        assert collapse_inverter_pairs(c) == 1
-        after = simulate(c, exhaustive_patterns(1))
+        before = simulate(c, exhaustive_patterns(1))
+        collapsed = _optimized(c)
+        after = simulate(collapsed, exhaustive_patterns(1))
         assert (before == after).all()
-        assert c.gate("out").inputs == ("a", "a")
+        assert collapsed.gate("out").inputs == ("a", "a")
+        assert collapsed.internal_nets() == ["out"]
 
 
 class TestInsertMux:

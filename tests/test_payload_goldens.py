@@ -2,7 +2,8 @@
 
 The spec-hash cache and the result store assume that a spec's payload is a
 pure function of the spec.  Each cell of a small grid (c17/c432/c499 × seeds
-0, 1 × detector ``None``/``paper``, 64 Monte-Carlo sessions) is run and the
+0, 1 × detector ``None``/``paper``, 64 Monte-Carlo sessions, plus a c880
+seed-0 cell whose netlist Phase A cleanup shrinks substantially) is run and the
 sha256 of its sorted-key ``payload_dict()`` JSON is compared with the digest
 checked in next to this file.
 
@@ -29,12 +30,15 @@ CIRCUITS = ("c17", "c432", "c499")
 SEEDS = (0, 1)
 DETECTORS = (None, "paper")
 MC_SESSIONS = 64
+#: Cells outside the product grid: (circuit, seed, detector).
+EXTRA_CELLS = (("c880", 0, None),)
 
 
 def grid():
+    cells = list(itertools.product(CIRCUITS, SEEDS, DETECTORS)) + list(EXTRA_CELLS)
     return [
         ExperimentSpec(circuit=circuit, seed=seed, detector=detector, mc_sessions=MC_SESSIONS)
-        for circuit, seed, detector in itertools.product(CIRCUITS, SEEDS, DETECTORS)
+        for circuit, seed, detector in cells
     ]
 
 

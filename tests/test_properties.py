@@ -22,11 +22,10 @@ from repro.bench import parse_bench, write_bench
 from repro.netlist import (
     Circuit,
     GateType,
-    propagate_constants,
+    optimize_netlist,
     strip_dead_logic,
     tie_net_to_constant,
 )
-from repro.power import optimize_netlist
 from repro.prob import signal_probabilities
 from repro.sim import BitSimulator, compare_on_patterns, pack_patterns, unpack_patterns
 from repro.trojan import binomial_tail_at_least
@@ -159,9 +158,7 @@ class TestTransformProperties:
         value = int(rng.integers(2))
         tied = circuit.copy("tied")
         tie_net_to_constant(tied, victim, value)
-        folded = tied.copy("folded")
-        propagate_constants(folded)
-        strip_dead_logic(folded)
+        folded = optimize_netlist(tied)
         assert compare_on_patterns(tied, folded, patterns).equivalent
 
     @_SETTINGS

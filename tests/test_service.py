@@ -35,6 +35,7 @@ from repro.service import (
     ResultStore,
 )
 from repro.service.store import EVADES_NO, EVADES_UNKNOWN, EVADES_YES
+from tests.test_api import MALFORMED_CAMPAIGNS
 
 
 def _spec(pth=0.9, seed=0, circuit="c17", **kw):
@@ -360,6 +361,14 @@ class TestFleetService:
             )
         assert err.value.status == 400
         assert "seed must be None or a non-negative int" in str(err.value)
+
+    @pytest.mark.parametrize("body, message", MALFORMED_CAMPAIGNS)
+    def test_malformed_campaign_400(self, client, body, message):
+        with pytest.raises(FleetServiceError) as err:
+            client._request("POST", "/jobs", {"campaign": body})
+        assert err.value.status == 400
+        assert message in str(err.value)
+        assert "\n" not in str(err.value)
 
     def test_unknown_endpoint_404(self, client):
         with pytest.raises(FleetServiceError) as err:
