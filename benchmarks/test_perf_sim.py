@@ -19,7 +19,9 @@ reference implementations on ISCAS-scale circuits:
   incremental :class:`~repro.power.analysis.PowerModel` vs. a fresh
   ``analyze`` per batch, and (``pipeline.synthesis``) c3540's Phase A
   synthesis cleanup in one forward pass vs. the four per-gate passes
-  iterated to a fixed point.
+  iterated to a fixed point, and (``pipeline.sweep``) a c432 Pth sweep of
+  one seed with Phase A computed per cell vs. shared through the
+  per-process memo.
 
 Results (before/after wall time, throughput, speedup) are merged into
 ``BENCH_perf.json`` at the repo root so the perf trajectory is tracked in
@@ -30,6 +32,7 @@ silently falling back to a per-gate path), not to pin exact machine speeds.
 
 from __future__ import annotations
 
+import json
 import time
 
 import numpy as np
@@ -39,7 +42,8 @@ from repro.atpg.faultsim import FaultSimulator
 from repro.bench import c17, c499_like, c880_like, c1908_like, c3540_like
 from repro.bench.iscas_extra import c6288_like
 from repro.core.insertion import _exceeds, _pad_with_dummies
-from repro.core.pipeline import TrojanZeroPipeline
+from repro.api import ExperimentSpec, execute_experiment
+from repro.core.pipeline import TrojanZeroPipeline, _clear_phase_a
 from repro.power import analyze, optimize_netlist
 from repro.sim.bitsim import BitSimulator, pack_patterns, unpack_patterns
 from repro.sim.seqsim import SequentialSimulator
@@ -361,4 +365,55 @@ def test_optimize_netlist_one_pass():
     assert speedup >= SYNTHESIS_MIN_SPEEDUP, (
         f"one-pass synthesis cleanup speedup regressed: {speedup:.1f}x < "
         f"{SYNTHESIS_MIN_SPEEDUP}x (see {BENCH_PERF_PATH})"
+    )
+
+
+# ---------------------------------------------------------------------------
+# shared Phase A: a Pth sweep of one (circuit, seed)
+# ---------------------------------------------------------------------------
+SWEEP_PTHS = (0.90, 0.93, 0.95, 0.975, 0.99)
+SWEEP_MIN_SPEEDUP = 1.15  # loud-regression floor
+
+
+def _sweep(specs, cold: bool):
+    """Run ``specs`` in order; ``cold`` empties the Phase A memo per cell."""
+    _clear_phase_a()
+    payloads, states = [], []
+    start = time.perf_counter()
+    for spec in specs:
+        if cold:
+            _clear_phase_a()
+        record = execute_experiment(spec).record
+        payloads.append(json.dumps(record.payload_dict(), sort_keys=True))
+        states.append(record.runtime["phase_a"])
+    return time.perf_counter() - start, payloads, states
+
+
+def test_phase_a_shared_sweep():
+    """c432 Pth sweep at one seed: Phase A per cell vs. once per sweep."""
+    specs = [
+        ExperimentSpec(circuit="c432", pth=pth, design="counter2", seed=1, mc_sessions=64)
+        for pth in SWEEP_PTHS
+    ]
+    _sweep(specs[:1], cold=True)  # warm imports, library cells and compile caches
+    t_cold, want, cold_states = _sweep(specs, cold=True)
+    t_warm, got, warm_states = _sweep(specs, cold=False)
+    _clear_phase_a()
+    assert got == want, "a shared Phase A changed a payload"
+    assert cold_states == ["computed"] * len(specs)
+    assert warm_states == ["computed"] + ["shared"] * (len(specs) - 1)
+
+    speedup = t_cold / t_warm
+    update_perf_report("pipeline.sweep", {
+        "workload": f"c432 counter2, seed 1, {len(specs)} Pth cells, 64 MC sessions",
+        "pths": list(SWEEP_PTHS),
+        "cold_s": t_cold,
+        "shared_s": t_warm,
+        "cold_cell_s": t_cold / len(specs),
+        "shared_cell_s": t_warm / len(specs),
+        "speedup": speedup,
+    })
+    assert speedup >= SWEEP_MIN_SPEEDUP, (
+        f"shared Phase A sweep speedup regressed: {speedup:.2f}x < "
+        f"{SWEEP_MIN_SPEEDUP}x (see {BENCH_PERF_PATH})"
     )

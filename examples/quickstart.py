@@ -10,14 +10,20 @@ Reproduces the paper's Fig. 2 pipeline end to end:
 3. Algorithm 2 — insert a counter-based hardware Trojan (Fig. 4) and pad so
    the infected circuit matches the HT-free thresholds.
 
-Run:  python examples/quickstart.py
+Run:  python examples/quickstart.py [OUT.bench]
+
+With an output path, the TZ-infected netlist is also written there as an
+ISCAS ``.bench`` file; without one, nothing is written.
 """
+
+import sys
+from typing import Optional
 
 from repro.bench import c432_like, save_bench
 from repro.core import TableRow, TrojanZeroPipeline, format_table
 
 
-def main() -> None:
+def main(out_path: Optional[str] = None) -> None:
     circuit = c432_like()
     print(f"Target circuit: {circuit}")
 
@@ -49,10 +55,10 @@ def main() -> None:
         print()
         print(format_table([TableRow.from_result(result)]))
 
-        out_path = "/tmp/c432_tz_infected.bench"
-        save_bench(result.insertion.infected, out_path)
-        print(f"\nTZ-infected netlist written to {out_path}")
+        if out_path is not None:
+            save_bench(result.insertion.infected, out_path)
+            print(f"\nTZ-infected netlist written to {out_path}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1] if len(sys.argv) > 1 else None)

@@ -22,10 +22,14 @@ expressions (``time.*``, ``os.environ``, ``platform.*``, ...) flowing into
 record payload fields (RPR201) and ``runtime``/``traces`` values read back
 into them (RPR202) — only the ``runtime=`` sinks accept tainted values.
 
-Cells are dispatched circuit-major, so same-benchmark cells drain through
-the pool together and each worker reuses its process-global structural
-compile cache of :mod:`repro.sim.compiled` — a worker compiles a given
-circuit at most once per campaign instead of cold per cell.
+Pool dispatch follows :func:`dispatch_order`, sorted by (circuit, seed):
+same-benchmark cells drain through the pool together, so each worker reuses
+its process-global structural compile cache of :mod:`repro.sim.compiled` —
+a worker compiles a given circuit at most once per campaign instead of cold
+per cell — and the cells of one Pth sweep are adjacent, so a worker that
+runs several of them computes their shared Phase A once
+(:func:`repro.core.pipeline.phase_a`).  ``runtime["phase_a"]`` records
+whether a cell computed Phase A or shared it.
 """
 
 from __future__ import annotations
@@ -277,7 +281,8 @@ def execute_experiment(
             "pipeline": round(t_pipeline, 6),
             "detect": round(t_detect, 6),
             "total": round(time.perf_counter() - t0, 6),
-        }
+        },
+        "phase_a": result.phase_a,
     }
     record = ExperimentRecord.from_run(spec, result, evasion, runtime)
     return ExperimentOutcome(record=record, result=result, evasion=evasion)
@@ -297,6 +302,18 @@ def _run_cell(spec: ExperimentSpec) -> ExperimentRecord:
         return run_experiment(spec)
     except Exception as exc:  # noqa: BLE001 — a bad cell must not kill the sweep
         return ExperimentRecord.failed(spec, f"{type(exc).__name__}: {exc}")
+
+
+def dispatch_order(specs: List[ExperimentSpec]) -> List[ExperimentSpec]:
+    """Pool submission order: sorted by (circuit, seed), stable otherwise.
+
+    Same-circuit cells stay adjacent (warm compile caches), and so do the
+    cells of one (circuit, seed), which share one Phase A.  A ``None`` seed
+    sorts before every integer seed.
+    """
+    return sorted(
+        specs, key=lambda s: (s.circuit, s.seed is not None, s.seed or 0)
+    )
 
 
 def _campaign_worker(spec_dict: dict) -> dict:
@@ -534,12 +551,7 @@ class CampaignRunner:
             # Cells are supervised one future at a time, yielded in
             # completion order, so JSONL streaming / crash resume / progress
             # are per cell and slow cells don't serialize behind a chunk.
-            # Submission stays circuit-major: adjacent same-circuit cells
-            # drain through the pool while that circuit's compiled schedule
-            # is warm in at least one worker (the fingerprint-keyed cache is
-            # process-global, so each worker compiles a given circuit at
-            # most once per campaign).
-            ordered = sorted(pending, key=lambda s: s.circuit)
+            ordered = dispatch_order(pending)
         supervisor = CellSupervisor(
             ordered, jobs=self.jobs, policy=self.policy, chaos=chaos
         )

@@ -108,6 +108,12 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and type(value) is not bool
 
 
+def _is_number(value: Any) -> bool:
+    """True for an int or a float that is neither a bool nor NaN (JSON
+    readers accept ``NaN``, and it passes every range check)."""
+    return isinstance(value, (int, float)) and type(value) is not bool and value == value
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One cell of the evaluation grid, fully declarative and serializable.
@@ -247,14 +253,18 @@ class RetryPolicy:
     jitter: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_s < 0 or self.backoff_max_s < 0:
-            raise ValueError("backoff delays must be >= 0")
-        if self.backoff_mult < 1.0:
-            raise ValueError(f"backoff_mult must be >= 1, got {self.backoff_mult}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+        if not _is_int(self.max_retries) or self.max_retries < 0:
+            raise ValueError(
+                f"max_retries must be an int >= 0, got {self.max_retries!r}"
+            )
+        for name in ("backoff_s", "backoff_max_s", "jitter"):
+            value = getattr(self, name)
+            if not _is_number(value) or value < 0:
+                raise ValueError(f"{name} must be a number >= 0, got {value!r}")
+        if not _is_number(self.backoff_mult) or self.backoff_mult < 1.0:
+            raise ValueError(
+                f"backoff_mult must be a number >= 1, got {self.backoff_mult!r}"
+            )
 
     @property
     def max_attempts(self) -> int:
@@ -304,13 +314,24 @@ class FleetPolicy:
     max_pool_rebuilds: int = 3
 
     def __post_init__(self) -> None:
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(f"timeout_s must be > 0, got {self.timeout_s}")
-        if self.max_errors is not None and self.max_errors < 1:
-            raise ValueError(f"max_errors must be >= 1, got {self.max_errors}")
-        if self.max_pool_rebuilds < 0:
+        if self.timeout_s is not None and (
+            not _is_number(self.timeout_s) or self.timeout_s <= 0
+        ):
             raise ValueError(
-                f"max_pool_rebuilds must be >= 0, got {self.max_pool_rebuilds}"
+                f"timeout_s must be None or a number > 0, got {self.timeout_s!r}"
+            )
+        if not isinstance(self.retry, RetryPolicy):
+            raise ValueError(f"retry must be an object, got {self.retry!r}")
+        if self.max_errors is not None and (
+            not _is_int(self.max_errors) or self.max_errors < 1
+        ):
+            raise ValueError(
+                f"max_errors must be None or an int >= 1, got {self.max_errors!r}"
+            )
+        if not _is_int(self.max_pool_rebuilds) or self.max_pool_rebuilds < 0:
+            raise ValueError(
+                "max_pool_rebuilds must be an int >= 0, "
+                f"got {self.max_pool_rebuilds!r}"
             )
 
     @property
@@ -385,7 +406,8 @@ class CampaignSpec:
     ) -> "CampaignSpec":
         """Cartesian-product grid, circuit-major so that consecutive cells
         share a circuit (and thus a warm structural compile cache) within
-        each campaign worker."""
+        each campaign worker, with Pth innermost so that consecutive cells
+        also share one Phase A (:func:`repro.core.pipeline.phase_a`)."""
         cells = tuple(
             ExperimentSpec(
                 circuit=circuit,

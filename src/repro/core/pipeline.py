@@ -12,12 +12,20 @@ Monte-Carlo Pft sessions — runs on the compiled levelized engine of
 :mod:`repro.sim.compiled`, sharing schedules across circuit copies through
 the structural-fingerprint cache (salvage's edit/revert trials compile by
 patching, not from cold).
+
+Phase A depends only on N, the defender model (with its derived seeds) and
+the cell library — Pth first appears in Algorithm 1 — so :func:`phase_a`
+memoizes it per process: the cells of a Pth sweep of one (circuit, seed)
+compute it once.  Campaign and fleet workers build a fresh pipeline per cell,
+which is why the memo is module-level and not held by the pipeline.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +59,76 @@ SEED_BESPOKE = 1
 SEED_TRIGGER_MC = 2
 SEED_DETECT = 3
 
+#: Phase A reports the per-process memo keeps, least recently used evicted
+#: first.  Each entry holds a synthesized circuit and its defender patterns.
+PHASE_A_CAPACITY = 4
+
+_phase_a_lock = threading.Lock()
+_phase_a_memo: "OrderedDict[Hashable, Tuple[ThresholdReport, CellLibrary]]" = OrderedDict()
+
+
+def _phase_a_key(
+    circuit: Circuit, library: CellLibrary, defender: DefenderModel
+) -> Hashable:
+    """Everything that can reach a Phase A report.
+
+    The name reaches the reports; the fingerprint covers the structure and
+    the PI/PO order but sorts gate names, while power sums run in gate-map
+    order, so that order is part of the key too.  The library is keyed by
+    identity: its entry holds a strong reference, so the id is not reused
+    while the entry lives.
+    """
+    return (
+        circuit.name,
+        circuit.structural_fingerprint(),
+        circuit.nets,
+        defender,
+        id(library),
+    )
+
+
+def phase_a(
+    circuit: Circuit, library: CellLibrary, defender: DefenderModel
+) -> Tuple[ThresholdReport, bool]:
+    """Phase A (:func:`compute_thresholds`) through the per-process memo.
+
+    Returns the report and whether it was shared from an earlier call.  The
+    stored report is never handed out: every caller gets its own circuit copy
+    and pattern-set lists, and the stored pattern arrays are read-only.
+    """
+    key = _phase_a_key(circuit, library, defender)
+    with _phase_a_lock:
+        entry = _phase_a_memo.get(key)
+        if entry is not None:
+            _phase_a_memo.move_to_end(key)
+    shared = entry is not None
+    if not shared:
+        report = compute_thresholds(circuit, library, defender)
+        arrays = (report.test_set.patterns, *report.pattern_sets, *report.bespoke_sets)
+        for patterns in arrays:
+            patterns.setflags(write=False)
+        entry = (report, library)
+        with _phase_a_lock:
+            _phase_a_memo[key] = entry
+            while len(_phase_a_memo) > PHASE_A_CAPACITY:
+                _phase_a_memo.popitem(last=False)
+    report = entry[0]
+    return (
+        replace(
+            report,
+            circuit=report.circuit.copy(),
+            pattern_sets=list(report.pattern_sets),
+            bespoke_sets=list(report.bespoke_sets),
+        ),
+        shared,
+    )
+
+
+def _clear_phase_a() -> None:
+    """Empty the Phase A memo (tests only)."""
+    with _phase_a_lock:
+        _phase_a_memo.clear()
+
 
 @dataclass
 class TrojanZeroResult:
@@ -62,6 +140,9 @@ class TrojanZeroResult:
     salvage: SalvageResult
     insertion: InsertionResult
     trigger: Optional[TriggerReport]
+    #: ``"computed"`` when this run did Phase A, ``"shared"`` when
+    #: :func:`phase_a` served it from an earlier run in the process.
+    phase_a: str = "computed"
 
     # ------------------------------------------------------------------
     @property
@@ -173,7 +254,7 @@ class TrojanZeroPipeline:
                 random_seed=derive_seed(seed, SEED_BESPOKE),
             )
             trigger_rng = np.random.default_rng(derive_seed(seed, SEED_TRIGGER_MC))
-        thresholds = compute_thresholds(circuit, self.library, defender)
+        thresholds, shared = phase_a(circuit, self.library, defender)
         salvage_result = salvage(
             thresholds.circuit,
             thresholds.pattern_sets,
@@ -213,4 +294,5 @@ class TrojanZeroPipeline:
             salvage=salvage_result,
             insertion=insertion,
             trigger=trig,
+            phase_a="shared" if shared else "computed",
         )

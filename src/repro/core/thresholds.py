@@ -21,7 +21,7 @@ from ..power.library import CellLibrary
 from ..power.synthesis import optimize_netlist
 
 
-@dataclass
+@dataclass(frozen=True)
 class DefenderModel:
     """What the attacker knows about the defender's testing (attack model 2).
 
@@ -33,6 +33,10 @@ class DefenderModel:
     easiest-first ordering, a moderate per-fault abort limit, sign-off at 97%
     stuck-at coverage, and a 64-vector pattern budget — the regime in which
     rare-excitation faults are the ones left uncovered (see AtpgConfig).
+
+    Frozen, so it hashes: it is part of the Phase A memo key
+    (:func:`repro.core.pipeline.phase_a`), and a field added later joins the
+    key with it.
     """
 
     atpg: AtpgConfig = field(

@@ -52,8 +52,8 @@ from typing import Any, Dict, List, Optional, Union
 from urllib.parse import parse_qs, urlparse
 
 from ..api.fleet import CellSupervisor
-from ..api.runner import ExperimentRecord
-from ..api.spec import CampaignSpec, FleetPolicy
+from ..api.runner import ExperimentRecord, dispatch_order
+from ..api.spec import CampaignSpec, FleetPolicy, _is_int
 from .cache import ResultCache
 from .protocol import (
     CANCELLED,
@@ -237,7 +237,11 @@ class FleetServer:
         campaign = CampaignSpec.from_dict(payload["campaign"])
         if len(campaign) == 0:
             raise ValueError("campaign has no cells")
-        jobs = int(payload.get("jobs", self.jobs))
+        jobs = payload.get("jobs")
+        if jobs is None:
+            jobs = self.jobs
+        elif not _is_int(jobs) or jobs < 1:
+            raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
         policy = self.policy
         if payload.get("policy") is not None:
             policy = FleetPolicy.from_dict(payload["policy"])
@@ -366,10 +370,8 @@ class FleetServer:
     def _run_pending(self, job: _Job, pending, sink) -> bool:
         """Drive uncached cells through the supervisor; True if the job
         stopped early on cancel/shutdown."""
-        # Circuit-major submission keeps per-worker compile caches warm,
-        # mirroring CampaignRunner's ordering policy.
         if job.jobs > 1 and len(pending) > 1:
-            pending = sorted(pending, key=lambda s: s.circuit)
+            pending = dispatch_order(pending)
         supervisor = CellSupervisor(
             pending, jobs=job.jobs, policy=job.policy
         )

@@ -16,6 +16,7 @@ from repro.api import (
     CampaignSpec,
     ExperimentRecord,
     ExperimentSpec,
+    FleetPolicy,
     TABLE1_PARAMETERS,
     canonicalize,
     detect_seed_for,
@@ -27,6 +28,7 @@ from repro.api import (
     run_experiment,
     spec_hash,
 )
+from repro.api.runner import dispatch_order
 from repro.core import TableRow
 from repro.trojan.library import TrojanDesign
 
@@ -66,6 +68,31 @@ MALFORMED_CAMPAIGNS = [
 ]
 
 
+#: Fleet policy bodies that must be refused with a one-line ``ValueError``:
+#: (policy dict, fragment the message must contain).
+MALFORMED_POLICIES = [
+    pytest.param({"timeout_s": "x"}, "timeout_s must be None or a number", id="timeout-str"),
+    pytest.param({"timeout_s": True}, "timeout_s must be None or a number", id="timeout-bool"),
+    pytest.param({"timeout_s": 0}, "timeout_s must be None or a number > 0", id="timeout-zero"),
+    pytest.param({"timeout_s": float("nan")}, "timeout_s must be None or a number",
+                 id="timeout-nan"),
+    pytest.param({"retry": {"jitter": float("nan")}}, "jitter must be a number", id="jitter-nan"),
+    pytest.param({"max_errors": 1.5}, "max_errors must be None or an int", id="maxerr-float"),
+    pytest.param({"max_errors": 0}, "max_errors must be None or an int >= 1", id="maxerr-zero"),
+    pytest.param({"max_pool_rebuilds": "3"}, "max_pool_rebuilds must be an int", id="rebuilds-str"),
+    pytest.param({"retry": "x"}, "retry must be an object", id="retry-str"),
+    pytest.param({"retry": {"bogus": 1}}, "RetryPolicy: unknown keys", id="retry-unknown"),
+    pytest.param({"retry": {"max_retries": "2"}}, "max_retries must be an int", id="retries-str"),
+    pytest.param({"retry": {"max_retries": -1}}, "max_retries must be an int >= 0", id="retries-neg"),
+    pytest.param({"retry": {"backoff_s": None}}, "backoff_s must be a number", id="backoff-none"),
+    pytest.param({"retry": {"backoff_max_s": -1}}, "backoff_max_s must be a number >= 0",
+                 id="backoff-max-neg"),
+    pytest.param({"retry": {"backoff_mult": "2"}}, "backoff_mult must be a number", id="mult-str"),
+    pytest.param({"retry": {"jitter": False}}, "jitter must be a number", id="jitter-bool"),
+    pytest.param(["x"], "expected an object, got list", id="policy-list"),
+]
+
+
 class TestMalformedSpecs:
     @pytest.mark.parametrize("body, message", MALFORMED_CAMPAIGNS)
     def test_rejected_with_one_line_error(self, body, message):
@@ -73,6 +100,22 @@ class TestMalformedSpecs:
             CampaignSpec.from_dict(body)
         assert message in str(err.value)
         assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("body, message", MALFORMED_POLICIES)
+    def test_policy_rejected_with_one_line_error(self, body, message):
+        with pytest.raises(ValueError) as err:
+            FleetPolicy.from_dict(body)
+        assert message in str(err.value)
+        assert "\n" not in str(err.value)
+
+    def test_policy_boundary_values_accepted(self):
+        body = {
+            "timeout_s": 0.5, "max_errors": 1, "max_pool_rebuilds": 0,
+            "retry": {"max_retries": 0, "backoff_s": 0, "backoff_mult": 1,
+                      "backoff_max_s": 0.0, "jitter": 0},
+        }
+        policy = FleetPolicy.from_dict(body)
+        assert FleetPolicy.from_dict(policy.to_dict()) == policy
 
     def test_boundary_values_accepted(self):
         spec = ExperimentSpec(
@@ -270,6 +313,22 @@ class TestCampaignRunner:
             ],
             name="unit",
         )
+
+    def test_dispatch_order_groups_circuit_then_seed(self):
+        cells = [
+            ExperimentSpec(circuit=circuit, pth=pth, seed=seed)
+            for circuit, pth, seed in [
+                ("c432", 0.9, 1), ("c17", 0.9, 2), ("c432", 0.95, 0), ("c17", 0.95, None),
+                ("c432", 0.99, 1), ("c17", 0.99, 2), ("c432", 0.9, 0), ("c17", 0.9, None),
+            ]
+        ]
+        ordered = dispatch_order(cells)
+        assert [(s.circuit, s.seed, s.pth) for s in ordered] == [
+            ("c17", None, 0.95), ("c17", None, 0.9),
+            ("c17", 2, 0.9), ("c17", 2, 0.99),
+            ("c432", 0, 0.95), ("c432", 0, 0.9),
+            ("c432", 1, 0.9), ("c432", 1, 0.99),
+        ]
 
     def test_parallel_matches_serial(self, small_campaign, tmp_path):
         out = tmp_path / "parallel.jsonl"

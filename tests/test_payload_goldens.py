@@ -2,10 +2,18 @@
 
 The spec-hash cache and the result store assume that a spec's payload is a
 pure function of the spec.  Each cell of a small grid (c17/c432/c499 × seeds
-0, 1 × detector ``None``/``paper``, 64 Monte-Carlo sessions, plus a c880
-seed-0 cell whose netlist Phase A cleanup shrinks substantially) is run and the
-sha256 of its sorted-key ``payload_dict()`` JSON is compared with the digest
-checked in next to this file.
+0, 1 × detector ``None``/``paper``, 64 Monte-Carlo sessions) plus a few extra
+cells is run and the sha256 of its sorted-key ``payload_dict()`` JSON is
+compared with the digest checked in next to this file.  The extras are c432
+at its Table I point (Pth 0.975, a 2-bit counter), where the trigger fires in
+the Monte-Carlo (``pft_monte_carlo`` = 0.125 on both seeds) and one cell runs
+the ``traces`` detector, and a c880 seed-0 cell whose netlist Phase A cleanup
+shrinks substantially.
+
+Cells that repeat a (circuit, seed) share one Phase A through the per-process
+memo of :func:`repro.core.pipeline.phase_a` (every ``paper`` cell, and the
+c432 extras while the memo still holds their seed), so the corpus also pins
+payloads computed from a shared Phase A.
 
 Regenerate the digests only when a payload is *meant* to change:
 
@@ -30,20 +38,36 @@ CIRCUITS = ("c17", "c432", "c499")
 SEEDS = (0, 1)
 DETECTORS = (None, "paper")
 MC_SESSIONS = 64
-#: Cells outside the product grid: (circuit, seed, detector).
-EXTRA_CELLS = (("c880", 0, None),)
+#: c432's Table I operating point.
+C432_TABLE1 = {"pth": 0.975, "design": "counter2"}
+#: Cells outside the product grid: (circuit, seed, detector, other fields).
+EXTRA_CELLS = (
+    ("c432", 0, None, C432_TABLE1),
+    ("c432", 1, None, C432_TABLE1),
+    ("c432", 1, "traces", C432_TABLE1),
+    ("c880", 0, None, {}),
+)
+DEFAULTS = ExperimentSpec(circuit="c17")
 
 
 def grid():
-    cells = list(itertools.product(CIRCUITS, SEEDS, DETECTORS)) + list(EXTRA_CELLS)
+    cells = [
+        (circuit, seed, detector, {})
+        for circuit, seed, detector in itertools.product(CIRCUITS, SEEDS, DETECTORS)
+    ] + list(EXTRA_CELLS)
     return [
-        ExperimentSpec(circuit=circuit, seed=seed, detector=detector, mc_sessions=MC_SESSIONS)
-        for circuit, seed, detector in cells
+        ExperimentSpec(
+            circuit=circuit, seed=seed, detector=detector, mc_sessions=MC_SESSIONS, **fields
+        )
+        for circuit, seed, detector, fields in cells
     ]
 
 
 def key(spec: ExperimentSpec) -> str:
-    return f"{spec.circuit}/seed={spec.seed}/detector={spec.detector}"
+    base = f"{spec.circuit}/seed={spec.seed}/detector={spec.detector}"
+    if (spec.pth, spec.design) == (DEFAULTS.pth, DEFAULTS.design):
+        return base
+    return f"{base}/pth={spec.pth}/design={spec.design}"
 
 
 def payload_digest(spec: ExperimentSpec) -> str:

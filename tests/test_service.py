@@ -35,7 +35,7 @@ from repro.service import (
     ResultStore,
 )
 from repro.service.store import EVADES_NO, EVADES_UNKNOWN, EVADES_YES
-from tests.test_api import MALFORMED_CAMPAIGNS
+from tests.test_api import MALFORMED_CAMPAIGNS, MALFORMED_POLICIES
 
 
 def _spec(pth=0.9, seed=0, circuit="c17", **kw):
@@ -366,6 +366,24 @@ class TestFleetService:
     def test_malformed_campaign_400(self, client, body, message):
         with pytest.raises(FleetServiceError) as err:
             client._request("POST", "/jobs", {"campaign": body})
+        assert err.value.status == 400
+        assert message in str(err.value)
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("jobs", [0, -3, True, "a", 1.5])
+    def test_bad_jobs_400(self, client, jobs):
+        body = {"campaign": _campaign(0.9).to_dict(), "jobs": jobs}
+        with pytest.raises(FleetServiceError) as err:
+            client._request("POST", "/jobs", body)
+        assert err.value.status == 400
+        assert f"jobs must be an int >= 1, got {jobs!r}" in str(err.value)
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("policy, message", MALFORMED_POLICIES)
+    def test_malformed_policy_400(self, client, policy, message):
+        body = {"campaign": _campaign(0.9).to_dict(), "policy": policy}
+        with pytest.raises(FleetServiceError) as err:
+            client._request("POST", "/jobs", body)
         assert err.value.status == 400
         assert message in str(err.value)
         assert "\n" not in str(err.value)
