@@ -11,7 +11,10 @@ reference implementations on ISCAS-scale circuits:
   (``drop_detected=False``).
 * **seqsim** — Monte-Carlo trigger sessions over a counter-Trojan-infected
   c3540-class circuit: compiled sequential schedule vs. the per-gate
-  reference dict engine, bit-identity checked in the same run.
+  reference dict engine, bit-identity checked in the same run; and
+  (``seqsim.trigger_mc``) ``monte_carlo_pft`` on the infected c432, c880
+  and c3540 Table I cells, split stepping vs. the whole-circuit stepping
+  oracle.
 * **pipeline** — one end-to-end TrojanZero flow (thresholds → salvage →
   insertion → Pft Monte-Carlo) with the salvage compile-cache counters
   (full vs. patched compiles — the structural-fingerprint cache at work),
@@ -45,19 +48,23 @@ from repro.core.insertion import _exceeds, _pad_with_dummies
 from repro.api import ExperimentSpec, execute_experiment
 from repro.core.pipeline import TrojanZeroPipeline, _clear_phase_a
 from repro.power import analyze, optimize_netlist
+from repro.sim import compile_circuit
 from repro.sim.bitsim import BitSimulator, pack_patterns, unpack_patterns
 from repro.sim.seqsim import SequentialSimulator
 from repro.trojan import insert_counter_trojan
+from repro.trojan import trigger as trigger_module
 from repro.trojan.library import insert_dummy_gates, insert_filler_cells
+from repro.trojan.trigger import monte_carlo_pft
 from tests.oracles import (
     ReferenceSequentialSimulator,
+    WholeCircuitSequentialSimulator,
     netlist_structure,
     reference_fault_sim,
     reference_optimize_netlist,
     reference_run_packed,
 )
 
-from conftest import BENCH_PERF_PATH, update_perf_report
+from conftest import BENCH_PERF_PATH, run_benchmark_cached, update_perf_report
 
 
 N_PATTERNS = 4096
@@ -228,6 +235,80 @@ def test_seqsim_monte_carlo_throughput():
     assert speedup >= SEQ_MIN_SPEEDUP, (
         f"sequential Monte-Carlo speedup regressed: {speedup:.1f}x < "
         f"{SEQ_MIN_SPEEDUP}x (see {BENCH_PERF_PATH})"
+    )
+
+
+TRIGGER_MC_CELLS = ("c432", "c880", "c3540")
+TRIGGER_MC_SESSIONS = 64
+TRIGGER_MC_MIN_SPEEDUP = 2.0  # loud-regression floor; typically observed ~5x
+
+
+def test_trigger_mc_split_stepping(pipeline, monkeypatch):
+    """Monte-Carlo Pft on infected Table I cells: split vs. whole-circuit."""
+    cells = {}
+    for name in TRIGGER_MC_CELLS:
+        result = run_benchmark_cached(pipeline, name)
+        assert result.success, f"{name}: no Trojan inserted"
+        infected, instance = result.insertion.infected, result.insertion.instance
+        n_vectors = result.thresholds.n_test_vectors
+
+        def mc():
+            return monte_carlo_pft(
+                infected, instance, n_vectors,
+                n_sessions=TRIGGER_MC_SESSIONS, rng=np.random.default_rng(2026),
+            )
+
+        mc()  # warm the compiled schedule and the trigger's plan
+        t_split = _best_of(mc, 3)
+        pft = mc()
+        monkeypatch.setattr(
+            trigger_module, "SequentialSimulator", WholeCircuitSequentialSimulator
+        )
+        t_whole = _timed(mc)
+        assert mc() == pft, f"{name}: Pft differs between the engines"
+        monkeypatch.undo()
+
+        # The session block monte_carlo_pft draws first, trigger trace per step.
+        sequences = (
+            np.random.default_rng(2026).random(
+                (TRIGGER_MC_SESSIONS, n_vectors, len(infected.inputs))
+            ) < 0.5
+        ).astype(np.uint8)
+        watch = [instance.trigger_net]
+        got = SequentialSimulator(infected).run_sequences_nets(sequences, watch)
+        want = WholeCircuitSequentialSimulator(infected).run_sequences_nets(sequences, watch)
+        assert (got == want).all(), f"{name}: split stepping diverged"
+
+        compiled = compile_circuit(infected)
+        plan = compiled.sequential_plan((compiled.index[instance.trigger_net],))
+        cells[name] = {
+            "counter_bits": len(instance.state_nets),
+            "n_vectors": n_vectors,
+            "pft_monte_carlo": pft,
+            "steps_fired": int(got[:, :, 0].any(axis=0).sum()),
+            "rows_total": compiled.n_nets,
+            "rows_wide": sum(group.out_idx.size for group in plan.free),
+            "rows_stepped": sum(group.out_idx.size for group in plan.state),
+            "whole_s": t_whole,
+            "split_s": t_split,
+            "speedup": t_whole / t_split,
+        }
+
+    t_whole = sum(cell["whole_s"] for cell in cells.values())
+    t_split = sum(cell["split_s"] for cell in cells.values())
+    speedup = t_whole / t_split
+    update_perf_report("seqsim.trigger_mc", {
+        "workload": f"monte_carlo_pft, {TRIGGER_MC_SESSIONS} sessions, "
+        "infected Table I cells",
+        "engine": "split stepping vs. whole-circuit stepping",
+        "cells": cells,
+        "whole_s": t_whole,
+        "split_s": t_split,
+        "speedup": speedup,
+    })
+    assert speedup >= TRIGGER_MC_MIN_SPEEDUP, (
+        f"trigger Monte-Carlo split-stepping speedup regressed: {speedup:.1f}x "
+        f"< {TRIGGER_MC_MIN_SPEEDUP}x (see {BENCH_PERF_PATH})"
     )
 
 

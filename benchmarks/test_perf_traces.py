@@ -9,10 +9,12 @@ Measures the side-channel trace subsystem on a c3540-scale *sequential*
   ever regresses to per-net Python loops.
 * **population** — per-chip measurement (weight draw + matmul + noise
   chain), chips per second.
-* **ripple** — the cone-restricted ripple re-settle of
-  ``CompiledCircuit.step_sequential`` against a forced full re-settle on a
-  worst-case deep-counter workload (counter clocked from a PI, edges every
-  other vector).
+* **ripple** — the split engine of ``SequentialSimulator.run_sequences_nets``
+  (free rows in one wide pass, only the state rows stepped and re-settled)
+  against the whole-circuit stepping of
+  ``tests.oracles.WholeCircuitSequentialSimulator`` on a worst-case
+  deep-counter workload (counter clocked from a PI, edges every other
+  vector), bit-identity checked in the same run.
 
 Results merge into ``BENCH_perf.json`` under the ``traces`` section; the
 assertions are deliberately generous floors, not machine-speed pins.
@@ -27,11 +29,11 @@ import numpy as np
 from repro.bench import c3540_like
 from repro.detect import VariationModel
 from repro.power import tech65_library
-from repro.sim import compile_circuit
 from repro.sim.seqsim import SequentialSimulator
 from repro.traces import GaussianNoise, NoiseChain, Quantization, TraceGenerator
 from repro.traces.lab import TraceLabConfig, trace_population
 from repro.trojan import insert_counter_trojan
+from tests.oracles import WholeCircuitSequentialSimulator
 
 from conftest import BENCH_PERF_PATH, update_perf_report
 
@@ -85,7 +87,7 @@ def test_trace_lab_throughput():
     )
     chips_per_s = N_CHIPS / t_chips
 
-    # Cone-restricted ripple re-settle vs. forced full re-settle, worst case:
+    # Split stepping vs. whole-circuit stepping, worst case for the ripple:
     # a 5-bit counter clocked straight from a PI pumped every other vector.
     deep = c3540_like()
     insert_counter_trojan(
@@ -95,16 +97,11 @@ def test_trace_lab_throughput():
     pump[:, :, 0] = np.arange(96)[np.newaxis, :] % 2
     sim = SequentialSimulator(deep)
     watch = [deep.outputs[0]]
-    sim.run_sequences_nets(pump, watch)  # warm compile + fire cache
+    sim.run_sequences_nets(pump, watch)  # warm compile + plan cache
     t_restricted, got = _timed(lambda: sim.run_sequences_nets(pump, watch))
-    compiled = compile_circuit(deep)
-    original = compiled.dff_fire_schedule
-    try:
-        compiled.dff_fire_schedule = lambda fired: None  # force full re-settles
-        t_full, want = _timed(lambda: sim.run_sequences_nets(pump, watch))
-    finally:
-        compiled.dff_fire_schedule = original
-    assert (got == want).all(), "cone-restricted re-settle diverged"
+    whole = WholeCircuitSequentialSimulator(deep)
+    t_full, want = _timed(lambda: whole.run_sequences_nets(pump, watch))
+    assert (got == want).all(), "split stepping diverged from whole-circuit stepping"
     ripple_speedup = t_full / t_restricted
 
     update_perf_report("traces", {
@@ -126,6 +123,7 @@ def test_trace_lab_throughput():
         },
         "ripple_resettle": {
             "workload": "5-bit PI-clocked counter, edge every other vector",
+            "engine": "split stepping vs. whole-circuit stepping",
             "restricted_s": t_restricted,
             "full_s": t_full,
             "speedup": ripple_speedup,
@@ -142,6 +140,6 @@ def test_trace_lab_throughput():
         f"chip measurement regressed: {chips_per_s:.1f} chips/s (see {BENCH_PERF_PATH})"
     )
     assert ripple_speedup >= MIN_RIPPLE_SPEEDUP, (
-        f"cone-restricted ripple re-settle regressed: {ripple_speedup:.2f}x "
+        f"split stepping regressed: {ripple_speedup:.2f}x "
         f"< {MIN_RIPPLE_SPEEDUP}x (see {BENCH_PERF_PATH})"
     )

@@ -102,17 +102,18 @@ def phase_a(
         if entry is not None:
             _phase_a_memo.move_to_end(key)
     shared = entry is not None
-    if not shared:
+    if shared:
+        report = entry[0]
+    else:
         report = compute_thresholds(circuit, library, defender)
         arrays = (report.test_set.patterns, *report.pattern_sets, *report.bespoke_sets)
         for patterns in arrays:
             patterns.setflags(write=False)
-        entry = (report, library)
+        entry = (replace(report, circuit=_lean_copy(report.circuit)), library)
         with _phase_a_lock:
             _phase_a_memo[key] = entry
             while len(_phase_a_memo) > PHASE_A_CAPACITY:
                 _phase_a_memo.popitem(last=False)
-    report = entry[0]
     return (
         replace(
             report,
@@ -122,6 +123,22 @@ def phase_a(
         ),
         shared,
     )
+
+
+def _lean_copy(circuit: Circuit) -> Circuit:
+    """A copy of ``circuit`` for the memo that pins no ATPG cache.
+
+    Phase A's fault simulation leaves per-site cone row lists on the
+    compiled form (on c3540, 1087 lists holding 90k row ints).  Nothing
+    after Phase A reads them, so the stored copy keeps the compiled schedule
+    (sharing cells still skip the cold compile) without those caches, and
+    no link to the original circuit.
+    """
+    lean = circuit.copy()
+    lean._derived_from = None
+    if lean._compiled_cache is not None:
+        lean._compiled_cache = lean._compiled_cache.without_caches()
+    return lean
 
 
 def _clear_phase_a() -> None:

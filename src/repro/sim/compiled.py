@@ -43,12 +43,15 @@ Sequential schedule
 Sequential circuits compile too: every DFF *output* net becomes an extra
 source row alongside the PIs and TIE constants (it is a level-0 net — the
 flip-flop breaks the timing loop), and the levelized group schedule covers
-only the combinational fan-in.  One combinational *settle* of
-:mod:`repro.sim.seqsim` is then a single :meth:`CompiledCircuit.run_matrix`
-call with the state rows pre-loaded, and the edge-driven ripple update
-(detect rising clock edges, latch ``d`` where they fired, re-settle) is a
-handful of vectorized row operations over ``dff_clk_idx``/``dff_d_idx`` —
-see :meth:`CompiledCircuit.step_sequential`.
+only the combinational fan-in.  :meth:`CompiledCircuit.sequential_plan`
+splits that schedule for one set of watched rows: the rows the watched
+rows need (their fan-in, crossing each DFF through its ``d`` and ``clk``
+rows) fall into *free* rows, which read only the current input vector, and
+*state* rows, which have a DFF in their fan-in.  :mod:`repro.sim.seqsim`
+evaluates the free sub-schedule once over every (step, word) column and
+steps only the state sub-schedule per vector, latching DFFs through the
+plan's ``dff_idx``/``dff_d_idx``/``dff_clk_idx`` row triples.  Plans are
+cached per watched set in a bounded per-circuit cache.
 
 Compilation caching
 -------------------
@@ -75,14 +78,15 @@ can verify cache behaviour.
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..netlist.circuit import Circuit, NetlistError
+from ..netlist.circuit import Circuit
 from ..netlist.gate import GateType
 
 #: Patterns per simulation word (one uint64 per 64 patterns).
@@ -94,16 +98,9 @@ ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 #: All 64 bits set, as a Python int (for arbitrary-precision word walks).
 FULL_MASK = (1 << WORD_BITS) - 1
 
-#: Bound on the fired-DFF-set -> ripple sub-schedule cache (counters revisit
-#: a handful of sets; an adversarial workload must not grow it unboundedly).
-_FIRE_CACHE_MAX = 128
-
-#: When the fired DFFs' cone union covers this fraction of the scheduled
-#: rows, a full re-settle is cheaper (contiguous row slices instead of
-#: gathered subgroups).
-_FIRE_FULL_FRACTION = 0.6
-
-_MISSING = object()
+#: Bound on the watched-rows -> sequential plan cache (callers reuse a few
+#: watched sets; an adversarial workload must not grow it unboundedly).
+_PLAN_CACHE_MAX = 32
 
 #: numpy reduction ufunc per associative gate family.
 _REDUCERS = {
@@ -127,7 +124,9 @@ class GateGroup:
     the scatter target actually used during evaluation: row indexing assigns
     rows in schedule order, so full-schedule groups write one contiguous row
     *slice* (cheap basic indexing); cone-restricted subgroups fall back to an
-    index array.
+    index array.  ``reducer`` (the numpy ufunc of an associative gate, else
+    ``None``) and ``invert`` are resolved from ``gate_type`` at compile time,
+    so evaluation never hashes the enum.
     """
 
     level: int
@@ -135,6 +134,8 @@ class GateGroup:
     out_idx: np.ndarray
     in_idx: np.ndarray
     out: object
+    reducer: Optional[np.ufunc]
+    invert: bool
 
 
 def _build_row_adjacency(
@@ -162,47 +163,39 @@ def _build_row_adjacency(
 
 def _evaluate_group(group: GateGroup, values: np.ndarray) -> None:
     """Evaluate one gate group in place on the ``(n_nets, n_words)`` matrix."""
-    gt = group.gate_type
+    reducer = group.reducer
     in_idx = group.in_idx
     if in_idx.shape[0] == 1:
         # Single-gate group: basic row indexing (views) skips the gather
         # copies — these groups are ~half the schedule on real circuits, so
         # the per-group constant factor matters.
         row = in_idx[0]
-        if gt in _REDUCERS:
+        if reducer is not None:
             if row.size == 2:
-                acc = _REDUCERS[gt](values[row[0]], values[row[1]])
+                acc = reducer(values[row[0]], values[row[1]])
             else:
-                acc = _REDUCERS[gt].reduce(values[row], axis=0)
-            if gt in _INVERTING:
+                acc = reducer.reduce(values[row], axis=0)
+            if group.invert:
                 np.invert(acc, out=acc)
-        elif gt is GateType.NOT:
-            acc = ~values[row[0]]
-        elif gt is GateType.BUFF:
-            acc = values[row[0]]
-        elif gt is GateType.MUX:
+        elif group.gate_type is GateType.MUX:
             d0 = values[row[0]]
             acc = ((values[row[1]] ^ d0) & values[row[2]]) ^ d0
-        else:  # pragma: no cover - enum is closed
-            raise NetlistError(f"cannot bit-simulate gate type {gt}")
+        elif group.invert:  # NOT
+            acc = ~values[row[0]]
+        else:  # BUFF
+            acc = values[row[0]]
         values[group.out] = acc
         return
-    if gt in _REDUCERS:
+    if reducer is not None:
         if in_idx.shape[1] == 2:
-            acc = _REDUCERS[gt](values[in_idx[:, 0]], values[in_idx[:, 1]])
+            acc = reducer(values[in_idx[:, 0]], values[in_idx[:, 1]])
         else:
-            acc = _REDUCERS[gt].reduce(values[in_idx], axis=1)
-        if gt in _INVERTING:
+            acc = reducer.reduce(values[in_idx], axis=1)
+        if group.invert:
             np.invert(acc, out=acc)
         values[group.out] = acc
         return
-    if gt is GateType.NOT:
-        values[group.out] = ~values[in_idx[:, 0]]
-        return
-    if gt is GateType.BUFF:
-        values[group.out] = values[in_idx[:, 0]]
-        return
-    if gt is GateType.MUX:
+    if group.gate_type is GateType.MUX:
         d0 = values[in_idx[:, 0]]
         # d0 XOR ((d0 XOR d1) AND sel): selects d1 where sel is set.
         acc = values[in_idx[:, 1]]
@@ -211,7 +204,28 @@ def _evaluate_group(group: GateGroup, values: np.ndarray) -> None:
         np.bitwise_xor(acc, d0, out=acc)
         values[group.out] = acc
         return
-    raise NetlistError(f"cannot bit-simulate gate type {gt}")  # pragma: no cover
+    if group.invert:  # NOT
+        values[group.out] = ~values[in_idx[:, 0]]
+        return
+    values[group.out] = values[in_idx[:, 0]]  # BUFF
+
+
+@dataclass(frozen=True)
+class SequentialPlan:
+    """How to simulate a sequential circuit while watching a set of rows.
+
+    ``free`` evaluates the needed rows that read only the current input
+    vector; ``state`` evaluates the needed rows with a DFF in their fan-in.
+    ``dff_idx``/``dff_d_idx``/``dff_clk_idx`` are the row triples of the
+    DFFs inside the needed set, aligned (no other DFF can reach a watched
+    row).  Both sub-schedules are in level order.
+    """
+
+    free: Tuple[GateGroup, ...]
+    state: Tuple[GateGroup, ...]
+    dff_idx: np.ndarray
+    dff_d_idx: np.ndarray
+    dff_clk_idx: np.ndarray
 
 
 class CompiledCircuit:
@@ -220,8 +234,9 @@ class CompiledCircuit:
     Combinational circuits get a pure feed-forward schedule.  Sequential
     circuits compile as well: DFF output nets are extra *source* rows (the
     caller loads the flip-flop state before :meth:`run_matrix`), and
-    ``dff_idx``/``dff_d_idx``/``dff_clk_idx`` expose the row triples the
-    edge-driven state update of :meth:`step_sequential` needs.
+    ``dff_idx``/``dff_d_idx``/``dff_clk_idx`` are the row triples of the
+    edge-driven state update (:meth:`sequential_plan` restricts them to the
+    DFFs a set of watched rows needs).
     """
 
     def __init__(self, circuit: Circuit) -> None:
@@ -312,6 +327,8 @@ class CompiledCircuit:
                     out_idx=np.arange(start, stop, dtype=np.intp),
                     in_idx=np.array(in_rows, dtype=np.intp).reshape(len(nets), arity),
                     out=slice(start, stop),
+                    reducer=_REDUCERS.get(gt),
+                    invert=gt in _INVERTING,
                 )
             )
         # Row-level fanout adjacency in CSR form (``_edge_starts[r] ..
@@ -324,7 +341,7 @@ class CompiledCircuit:
         )
         self._readers: Optional[List[List[int]]] = None
         self._cone_rows_cache: Dict[int, List[int]] = {}
-        self._fire_cache: Dict[Tuple[int, ...], Optional[Tuple[GateGroup, ...]]] = {}
+        self._plan_cache: Dict[Tuple[int, ...], SequentialPlan] = {}
 
     # ------------------------------------------------------------------
     # full-circuit evaluation
@@ -373,54 +390,56 @@ class CompiledCircuit:
         return self.run_matrix(values)
 
     # ------------------------------------------------------------------
-    # sequential stepping
+    # sequential plans
     # ------------------------------------------------------------------
-    def step_sequential(
-        self,
-        values: np.ndarray,
-        state: np.ndarray,
-        prev_clk: Optional[np.ndarray],
-    ) -> Optional[np.ndarray]:
-        """Apply one input vector to a sequential circuit, edge-driven.
+    def sequential_plan(self, watched: Tuple[int, ...]) -> SequentialPlan:
+        """The free/state split of the rows that ``watched`` rows need.
 
-        ``values`` is a full value matrix with the PI rows already set;
-        ``state`` is the ``(n_dffs, n_words)`` flip-flop state (mutated in
-        place); ``prev_clk`` is the clock snapshot from the previous step, or
-        ``None`` for the first vector (which only establishes the baseline —
-        no edges fire).  Returns the new clock snapshot.
-
-        Semantics match the reference dict engine exactly: settle, then up to
-        ``n_dffs + 2`` ripple passes of (detect rising edges vs. the snapshot,
-        latch ``d`` where an edge fired, snapshot clocks, re-settle if
-        anything fired).  Ripple re-settles are *cone-restricted*: only the
-        fired DFFs' state rows changed, so only the union of their fanout
-        cones (:meth:`dff_fire_schedule`) is re-evaluated — deep-counter
-        workloads that fire an edge every cycle pay for the counter chain,
-        not the whole schedule.
+        Needed rows are the fan-in closure of ``watched``, crossing each DFF
+        through its ``d`` and ``clk`` rows; state rows are the needed rows
+        with a DFF in their fan-in (the DFF rows included), free rows are the
+        rest.  Cached per watched tuple, up to ``_PLAN_CACHE_MAX`` plans.
         """
-        if state.size:
-            values[self.dff_idx] = state
-        self.run_matrix(values)
-        if not self.dff_idx.size:
-            return prev_clk
-        if prev_clk is not None:
-            for _ in range(self.dff_idx.size + 2):
-                clk = values[self.dff_clk_idx]
-                edge = ~prev_clk & clk
-                prev_clk = clk  # fancy-indexed gather is already a fresh array
-                if not edge.any():
-                    break
-                state &= ~edge
-                state |= values[self.dff_d_idx] & edge
-                values[self.dff_idx] = state
-                fired = tuple(np.nonzero(edge.any(axis=1))[0].tolist())
-                groups = self.dff_fire_schedule(fired)
-                if groups is None:
-                    self.run_matrix(values)
-                else:
-                    for group in groups:
-                        _evaluate_group(group, values)
-        return values[self.dff_clk_idx]
+        plan = self._plan_cache.get(watched)
+        if plan is not None:
+            return plan
+        dff_reads = {
+            row: (d, clk)
+            for row, d, clk in zip(
+                self.dff_idx.tolist(), self.dff_d_idx.tolist(), self.dff_clk_idx.tolist()
+            )
+        }
+        needed = set(watched)
+        stack = list(needed)
+        while stack:
+            row = stack.pop()
+            node = self.node[row]
+            for src in node[1] if node is not None else dff_reads.get(row, ()):
+                if src not in needed:
+                    needed.add(src)
+                    stack.append(src)
+        # Rows are numbered in level order, so ascending order is topological.
+        state: set = set()
+        for row in sorted(needed):
+            node = self.node[row]
+            if row in dff_reads or (
+                node is not None and any(src in state for src in node[1])
+            ):
+                state.add(row)
+        dffs = np.array(
+            [i for i, row in enumerate(self.dff_idx.tolist()) if row in needed],
+            dtype=np.intp,
+        )
+        plan = SequentialPlan(
+            free=self._subschedule_for_rows(sorted(needed - state)),
+            state=self._subschedule_for_rows(sorted(state)),
+            dff_idx=self.dff_idx[dffs],
+            dff_d_idx=self.dff_d_idx[dffs],
+            dff_clk_idx=self.dff_clk_idx[dffs],
+        )
+        if len(self._plan_cache) < _PLAN_CACHE_MAX:
+            self._plan_cache[watched] = plan
+        return plan
 
     # ------------------------------------------------------------------
     # fanout cones
@@ -486,41 +505,19 @@ class CompiledCircuit:
                 keep = np.nonzero(mask)[0]
             out_idx = group.out_idx[keep]
             groups.append(
-                GateGroup(
-                    level=group.level,
-                    gate_type=group.gate_type,
-                    out_idx=out_idx,
-                    in_idx=group.in_idx[keep],
-                    out=out_idx,
-                )
+                replace(group, out_idx=out_idx, in_idx=group.in_idx[keep], out=out_idx)
             )
         return tuple(groups)
 
-    def dff_fire_schedule(
-        self, fired: Tuple[int, ...]
-    ) -> Optional[Tuple[GateGroup, ...]]:
-        """Sub-schedule for a ripple re-settle after ``fired`` DFFs latched.
-
-        ``fired`` holds indices into ``dff_idx`` (sorted, as produced by
-        ``np.nonzero``).  Only the union of the fired DFFs' fanout cones can
-        change when their state rows are reloaded, so re-settling just those
-        rows is exact.  Returns ``None`` when a full re-settle is cheaper
-        (the union covers most of the schedule).  Cached per fired set —
-        ripple workloads (counters) revisit a handful of sets.
-        """
-        cached = self._fire_cache.get(fired, _MISSING)
-        if cached is _MISSING:
-            rows: set = set()
-            for i in fired:
-                rows.update(self.cone_rows_at(int(self.dff_idx[i])))
-            n_scheduled = sum(group.out_idx.size for group in self.schedule)
-            if len(rows) >= _FIRE_FULL_FRACTION * max(n_scheduled, 1):
-                cached = None
-            else:
-                cached = self._subschedule_for_rows(sorted(rows))
-            if len(self._fire_cache) < _FIRE_CACHE_MAX:
-                self._fire_cache[fired] = cached
-        return cached
+    def without_caches(self) -> "CompiledCircuit":
+        """A copy that shares the schedule and index arrays but none of the
+        caches built on demand (fault-simulation cone rows and readers,
+        sequential plans), for long-lived holders that must not pin them."""
+        lean = copy.copy(self)
+        lean._readers = None
+        lean._cone_rows_cache = {}
+        lean._plan_cache = {}
+        return lean
 
 
 @dataclass
@@ -640,13 +637,7 @@ def _build_patched(
             continue
         out_idx = group.out_idx[keep_mask]
         comp.schedule.append(
-            GateGroup(
-                level=group.level,
-                gate_type=group.gate_type,
-                out_idx=out_idx,
-                in_idx=group.in_idx[keep_mask],
-                out=out_idx,
-            )
+            replace(group, out_idx=out_idx, in_idx=group.in_idx[keep_mask], out=out_idx)
         )
 
     # Cut the reads-edges into the tied rows so fault cones no longer pass
@@ -663,7 +654,7 @@ def _build_patched(
         comp._edge_starts, comp._edge_dst = parent._edge_starts, parent._edge_dst
     comp._readers = None
     comp._cone_rows_cache = {}
-    comp._fire_cache = {}
+    comp._plan_cache = {}
     return comp
 
 

@@ -19,20 +19,27 @@ Engine
 :class:`SequentialSimulator` runs on the compiled levelized core of
 :mod:`repro.sim.compiled`: the circuit compiles once into a ``(n_nets,
 n_words)`` value matrix plus a per-(level, type, arity) group schedule in
-which every DFF *output* is a source row alongside the PIs.  A combinational
-settle is then a single :meth:`~repro.sim.compiled.CompiledCircuit.run_matrix`
-call, and the edge detection / state latch of the ripple loop is a few
-vectorized row operations over the ``dff_clk_idx``/``dff_d_idx`` row triples
-(:meth:`~repro.sim.compiled.CompiledCircuit.step_sequential`).  The compiled
+which every DFF *output* is a source row alongside the PIs.  The compiled
 schedule is cached on the circuit (and in the structural-fingerprint cache),
-so every Monte-Carlo session, salvage trial, and functional test over the
-same netlist shares one compile.
+so every Monte-Carlo session, functional test and trace block over the same
+netlist shares one compile.
 
-Batched extraction: :meth:`SequentialSimulator.run_sequences_nets` packs the
-whole ``(n_seqs, n_steps, n_inputs)`` sequence block with one
-``np.packbits`` call, steps the matrix, gathers only the *watched* net rows
-per step, and unpacks them in a handful of chunked ``np.unpackbits`` calls —
-no per-net, per-step Python bit extraction anywhere.
+Split stepping: a run only computes what its watched nets need.
+:meth:`~repro.sim.compiled.CompiledCircuit.sequential_plan` takes the fan-in
+closure of the watched rows (crossing each DFF through ``d`` and ``clk``)
+and splits it into *free* rows, a function of the current vector alone, and
+*state* rows, which have a DFF in their fan-in.
+:meth:`SequentialSimulator.run_sequences_nets` evaluates the free rows once
+for every (step, word) column in one wide matrix, then steps only the state
+rows vector by vector, with the ripple loop above on the DFFs inside the
+needed set.  The ripple cap stays at the whole circuit's #DFFs + 2, so an
+oscillating DFF loop stops at the same pass.  A combinational circuit, or a
+watched set no DFF reaches, is a single wide pass.
+
+Batched extraction: the whole ``(n_seqs, n_steps, n_inputs)`` sequence block
+is packed with one ``np.packbits`` call, and the watched rows of each wide
+chunk are unpacked in one ``np.unpackbits`` call — no per-net, per-step
+Python bit extraction anywhere.
 """
 
 from __future__ import annotations
@@ -43,12 +50,46 @@ import numpy as np
 
 from ..netlist.circuit import Circuit
 from .bitsim import pack_patterns, unpack_patterns
-from .compiled import CompiledCircuit, compile_circuit
+from .compiled import CompiledCircuit, SequentialPlan, _evaluate_group, compile_circuit
 
-#: Word budget for the per-chunk watched-row buffer of
-#: :meth:`SequentialSimulator.run_sequences_nets` (bounds peak memory of the
-#: final unpack at ~64x this many bytes).
+#: Word budget for the wide ``(n_nets, steps * n_words)`` matrix of one step
+#: chunk in :meth:`SequentialSimulator.run_sequences_nets` (the watched-row
+#: unpack of a chunk is at most ~64x this many bytes).
 _CHUNK_WORD_BUDGET = 1 << 19
+
+
+def _step_state(
+    view: np.ndarray,
+    plan: SequentialPlan,
+    state: np.ndarray,
+    prev_clk: Optional[np.ndarray],
+    max_passes: int,
+) -> np.ndarray:
+    """Apply one vector to the state rows of ``view``; returns the clocks.
+
+    ``view`` is one step's ``(n_nets, n_words)`` column slice with its free
+    rows already evaluated; ``state`` is the needed DFFs' state (mutated in
+    place); ``prev_clk`` is the previous step's clock snapshot, or ``None``
+    for the first vector, which only sets the baseline.  Then up to
+    ``max_passes`` ripple passes of (detect rising edges against the
+    snapshot, latch ``d`` where one fired, snapshot the clocks, re-settle).
+    """
+    view[plan.dff_idx] = state
+    for group in plan.state:
+        _evaluate_group(group, view)
+    if prev_clk is not None:
+        for _ in range(max_passes):
+            clk = view[plan.dff_clk_idx]
+            edge = ~prev_clk & clk
+            prev_clk = clk  # fancy-indexed gather is already a fresh array
+            if not edge.any():
+                break
+            state &= ~edge
+            state |= view[plan.dff_d_idx] & edge
+            view[plan.dff_idx] = state
+            for group in plan.state:
+                _evaluate_group(group, view)
+    return view[plan.dff_clk_idx]
 
 
 class SequentialSimulator:
@@ -61,37 +102,10 @@ class SequentialSimulator:
     def __init__(self, circuit: Circuit) -> None:
         self.circuit = circuit
         self._compiled: CompiledCircuit = compile_circuit(circuit)
-        self._dffs: List[str] = list(self._compiled.dff_names)
-        self._state: Optional[np.ndarray] = None
-        self._prev_clk: Optional[np.ndarray] = None
-        self._values: Optional[np.ndarray] = None
-        self._n_words = 0
 
     @property
     def dff_nets(self) -> Tuple[str, ...]:
-        return tuple(self._dffs)
-
-    def reset(self, n_sequences: int) -> None:
-        """Zero all flip-flop states for ``n_sequences`` parallel sequences."""
-        self._n_words = (n_sequences + 63) // 64
-        self._state = np.zeros((len(self._dffs), self._n_words), dtype=np.uint64)
-        self._prev_clk = None
-        self._values = self._compiled.new_matrix(self._n_words)
-
-    def _step_matrix(self, packed_pi_words: np.ndarray) -> np.ndarray:
-        """One vector step on the reusable matrix; returns the settled matrix.
-
-        ``packed_pi_words`` is ``(n_inputs, n_words)``; PI rows are loaded,
-        the combinational schedule settles, and the edge-driven ripple loop
-        updates the flip-flop state in place.
-        """
-        values = self._values
-        if self._compiled.input_idx.size:
-            values[self._compiled.input_idx] = packed_pi_words
-        self._prev_clk = self._compiled.step_sequential(
-            values, self._state, self._prev_clk
-        )
-        return values
+        return self._compiled.dff_names
 
     # ------------------------------------------------------------------
     # batched sequence APIs
@@ -111,45 +125,55 @@ class SequentialSimulator:
     ) -> np.ndarray:
         """Simulate ``(n_seqs, n_steps, n_inputs)`` watching only ``nets``.
 
-        Returns ``(n_seqs, n_steps, len(nets))`` uint8.  This is the batched
-        workhorse behind :meth:`run_sequences`, :meth:`run_sequence_tracking`,
-        Monte-Carlo Pft estimation, and empirical toggle rates: input packing
-        happens in one vectorized call for the whole block, and the watched
-        rows are unpacked in large step-chunks instead of one bit at a time.
+        Returns ``(n_seqs, n_steps, len(nets))`` uint8; every sequence starts
+        from all-zero flip-flop state.  This is the batched workhorse behind
+        :meth:`run_sequences`, :meth:`run_sequence_tracking`, Monte-Carlo Pft
+        estimation, and empirical toggle rates.  Only the rows the watched
+        nets need are computed: free rows in one wide pass per step chunk,
+        state rows stepped per vector (see the module docstring).
         """
         sequences = self._check_sequences(sequences)
         n_seqs, n_steps, n_inputs = sequences.shape
-        self.reset(n_seqs)
-        n_words = self._n_words
-        rows = np.array(
-            [self._compiled.index[net] for net in nets], dtype=np.intp
-        )
+        compiled = self._compiled
+        rows = np.array([compiled.index[net] for net in nets], dtype=np.intp)
         out = np.zeros((n_seqs, n_steps, len(nets)), dtype=np.uint8)
-        if n_steps == 0 or n_seqs == 0:
+        if n_steps == 0 or n_seqs == 0 or rows.size == 0:
             return out
+        plan = compiled.sequential_plan(tuple(rows.tolist()))
+        n_words = (n_seqs + 63) // 64
         # One packbits pass for the whole block: steps fold into the signal
         # axis, giving (n_steps, n_inputs, n_words) packed PI words.
         packed_steps = pack_patterns(
             sequences.reshape(n_seqs, n_steps * n_inputs)
         ).reshape(n_steps, n_inputs, n_words)
-
-        if rows.size == 0:
-            for t in range(n_steps):
-                self._step_matrix(packed_steps[t])
-            return out
-        chunk = max(1, _CHUNK_WORD_BUDGET // (rows.size * max(n_words, 1)))
-        buffer = np.empty(
-            (min(chunk, n_steps), rows.size, n_words), dtype=np.uint64
-        )
+        state = np.zeros((plan.dff_idx.size, n_words), dtype=np.uint64)
+        prev_clk: Optional[np.ndarray] = None
+        max_passes = compiled.dff_idx.size + 2
+        chunk = max(1, _CHUNK_WORD_BUDGET // (compiled.n_nets * n_words))
         t = 0
         while t < n_steps:
             span = min(chunk, n_steps - t)
-            for k in range(span):
-                values = self._step_matrix(packed_steps[t + k])
-                buffer[k] = values[rows]
-            unpacked = unpack_patterns(
-                buffer[:span].reshape(span * rows.size, n_words), n_seqs
+            # Column k * n_words + w holds word w of step t + k.
+            values = compiled.new_matrix(span * n_words)
+            if n_inputs:
+                values[compiled.input_idx] = (
+                    packed_steps[t : t + span]
+                    .transpose(1, 0, 2)
+                    .reshape(n_inputs, span * n_words)
+                )
+            for group in plan.free:
+                _evaluate_group(group, values)
+            if plan.dff_idx.size:
+                for k in range(span):
+                    view = values[:, k * n_words : (k + 1) * n_words]
+                    prev_clk = _step_state(view, plan, state, prev_clk, max_passes)
+            watched = (
+                values[rows]
+                .reshape(rows.size, span, n_words)
+                .transpose(1, 0, 2)
+                .reshape(span * rows.size, n_words)
             )
+            unpacked = unpack_patterns(watched, n_seqs)
             out[:, t : t + span, :] = unpacked.reshape(n_seqs, span, rows.size)
             t += span
         return out

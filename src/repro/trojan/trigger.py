@@ -92,10 +92,12 @@ def monte_carlo_pft(
 ) -> float:
     """Monte-Carlo Pft: fraction of simulated random test sessions that fire.
 
-    Runs the full infected circuit sequentially (on the compiled levelized
-    engine — sessions packed 64 per word, trigger-net rows batch-unpacked per
-    session block), so ripple effects and signal correlations that the
-    analytic model ignores are captured.
+    Simulates the infected circuit sequentially on the compiled engine,
+    sessions packed 64 per word, so ripple effects and signal correlations
+    that the analytic model ignores are captured.  Only the trigger net's
+    fan-in is computed: its rows that read only the current vector in one
+    wide pass per session block, and the counter with what it reaches
+    stepped vector by vector (see :mod:`repro.sim.seqsim`).
     """
     if rng is None:
         rng = np.random.default_rng(0)

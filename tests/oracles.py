@@ -10,6 +10,10 @@ engine it pins:
 * ``reference_step_packed`` / ``ReferenceSequentialSimulator`` — the
   per-gate edge-driven dict engine behind
   :class:`~repro.sim.SequentialSimulator`;
+* ``WholeCircuitSequentialSimulator`` — the compiled engine stepping the
+  *whole* schedule per vector, as :class:`~repro.sim.SequentialSimulator`
+  did before it split its work into a wide pass over the rows that read
+  only the current vector and a per-vector step of the state rows;
 * ``reference_fault_sim`` — the block-wise Python-int fault simulator
   behind :class:`~repro.atpg.faultsim.FaultSimulator`; it processes 64
   patterns at a time as arbitrary-precision Python ints.
@@ -44,6 +48,7 @@ from repro.netlist.gate import GateType
 from repro.netlist.transform import _fold_gate, strip_dead_logic
 from repro.prob.propagate import signal_probabilities
 from repro.sim.bitsim import ALL_ONES, WORD_BITS, pack_patterns, unpack_patterns
+from repro.sim.compiled import compile_circuit
 
 
 def _blocks(patterns: np.ndarray, inputs: Sequence[str]) -> Iterable[Tuple[Dict[str, int], int, int]]:
@@ -493,3 +498,69 @@ def reference_rank_victims(circuit: Circuit, limit: int) -> List[str]:
         scored.append((len(cone) + 10 * reach, net))
     scored.sort(reverse=True)
     return [net for _, net in scored[:limit]]
+
+
+class WholeCircuitSequentialSimulator:
+    """The compiled engine stepping every row of the schedule per vector.
+
+    Each vector loads the PI and state rows, settles the full schedule, and
+    runs the ripple loop with a full re-settle per pass — no plan, no free
+    rows, no watched-set restriction.  Benchmarks time the split engine of
+    :meth:`repro.sim.SequentialSimulator.run_sequences_nets` against it.
+    """
+
+    def __init__(self, circuit: Circuit) -> None:
+        self.circuit = circuit
+        self._compiled = compile_circuit(circuit)
+        self._state: Optional[np.ndarray] = None
+        self._prev_clk: Optional[np.ndarray] = None
+        self._values: Optional[np.ndarray] = None
+
+    def reset(self, n_sequences: int) -> None:
+        """Zero all flip-flop states for ``n_sequences`` parallel sequences."""
+        n_words = (n_sequences + 63) // 64
+        self._state = np.zeros((self._compiled.dff_idx.size, n_words), dtype=np.uint64)
+        self._prev_clk = None
+        self._values = self._compiled.new_matrix(n_words)
+
+    def _step_matrix(self, packed_pi_words: np.ndarray) -> np.ndarray:
+        """One vector step on the reusable matrix; returns the settled matrix."""
+        cc, values, state = self._compiled, self._values, self._state
+        if cc.input_idx.size:
+            values[cc.input_idx] = packed_pi_words
+        values[cc.dff_idx] = state
+        cc.run_matrix(values)
+        if self._prev_clk is not None:
+            prev_clk = self._prev_clk
+            for _ in range(cc.dff_idx.size + 2):
+                clk = values[cc.dff_clk_idx]
+                edge = ~prev_clk & clk
+                prev_clk = clk
+                if not edge.any():
+                    break
+                state &= ~edge
+                state |= values[cc.dff_d_idx] & edge
+                values[cc.dff_idx] = state
+                cc.run_matrix(values)
+        self._prev_clk = values[cc.dff_clk_idx]
+        return values
+
+    def run_sequences_nets(
+        self, sequences: np.ndarray, nets: Sequence[str]
+    ) -> np.ndarray:
+        sequences = np.asarray(sequences)
+        n_seqs, n_steps, n_inputs = sequences.shape
+        self.reset(n_seqs)
+        rows = np.array([self._compiled.index[net] for net in nets], dtype=np.intp)
+        out = np.zeros((n_seqs, n_steps, len(nets)), dtype=np.uint8)
+        if n_steps == 0 or n_seqs == 0:
+            return out
+        n_words = self._values.shape[1]
+        packed_steps = pack_patterns(
+            sequences.reshape(n_seqs, n_steps * n_inputs)
+        ).reshape(n_steps, n_inputs, n_words)
+        for t in range(n_steps):
+            values = self._step_matrix(packed_steps[t])
+            if rows.size:
+                out[:, t, :] = unpack_patterns(values[rows], n_seqs)
+        return out

@@ -4,7 +4,8 @@ Phase A — verify N, defender ATPG, synthesis, thresholds — does not depend
 on Pth, so the cells of a Pth sweep of one (circuit, seed) share it.  These
 tests pin that sharing changes no payload, that everything able to reach a
 Phase A report separates memo entries, that nothing a cell receives can
-mutate the stored report, and that the memo stays bounded.
+mutate the stored report, that a stored report pins none of ATPG's fault
+simulation caches, and that the memo stays bounded.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ import numpy as np
 import pytest
 
 from repro.api import ExperimentSpec, execute_experiment
-from repro.bench import c17
+from repro.bench import c17, c432_like
 from repro.core import DefenderModel
 from repro.core import pipeline as pipeline_module
 from repro.core.pipeline import PHASE_A_CAPACITY, _clear_phase_a, phase_a
 from repro.netlist import Circuit, GateType
 from repro.power.library import CellLibrary
 from repro.power.tech65 import TECH65_PARAMS, tech65_library
+from repro.sim.compiled import COMPILE_STATS, compile_circuit
 
 SWEEP_PTHS = (0.9, 0.95, 0.975, 0.99)
 SWEEP_SEEDS = (0, 1)
@@ -188,6 +190,29 @@ class TestNothingSharedIsMutable:
         (fresh,) = _stored()
         assert fresh.circuit.structural_fingerprint() == fingerprint
         assert fresh.circuit.nets == nets
+
+
+class TestStoredEntryIsLean:
+    def test_stored_entry_pins_no_cone_cache(self):
+        library, defender = tech65_library(), DefenderModel()
+        first, shared = phase_a(c432_like(), library, defender)
+        assert not shared
+        (stored,) = _stored()
+        # The computing call hands out ATPG's compiled form, cone caches and all.
+        computed = compile_circuit(first.circuit)
+        assert computed._cone_rows_cache and computed._readers is not None
+        lean = stored.circuit._compiled_cache
+        assert lean is not None and lean is not computed
+        assert lean.schedule is computed.schedule
+        assert not lean._cone_rows_cache and lean._readers is None
+        assert not lean._plan_cache
+        assert stored.circuit._derived_from is None
+        # Sharing calls still start from the stored compiled schedule.
+        before = COMPILE_STATS.snapshot()
+        second, shared = phase_a(c432_like(), library, defender)
+        assert shared
+        assert compile_circuit(second.circuit) is lean
+        assert COMPILE_STATS.delta_since(before)["full_compiles"] == 0
 
 
 class TestBoundedSize:

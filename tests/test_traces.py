@@ -380,12 +380,12 @@ class TestCampaignIntegration:
 
 
 # ---------------------------------------------------------------------------
-# cone-restricted ripple re-settles (deep-counter workload)
+# split stepping under constant ripple (deep-counter workload)
 # ---------------------------------------------------------------------------
 class TestConeRestrictedResettle:
     def test_pi_clocked_counter_matches_reference(self):
-        """Worst case for the restricted re-settle: the counter clocks from a
-        PI that toggles every other vector, so edges fire constantly."""
+        """Worst case for split stepping: the counter clocks from a PI that
+        toggles every other vector, so edges fire and ripple constantly."""
         circuit = c17()
         instance = insert_counter_trojan(circuit, "N22", "N1", n_bits=4)
         n_steps = 64
@@ -401,16 +401,30 @@ class TestConeRestrictedResettle:
         trig = watch.index(instance.trigger_net)
         assert got[0, :, trig].any()
 
-    def test_fire_schedule_cache_is_bounded_and_reused(self):
+    def test_plan_cache_is_bounded_and_reused(self):
+        """The split engine steps only the state rows of a cached plan."""
         from repro.sim import compile_circuit
+        from repro.sim.compiled import _PLAN_CACHE_MAX
 
         circuit = c17()
-        insert_counter_trojan(circuit, "N22", "N1", n_bits=3)
+        instance = insert_counter_trojan(circuit, "N22", "N1", n_bits=3)
         compiled = compile_circuit(circuit)
         seqs = np.zeros((1, 40, len(circuit.inputs)), dtype=np.uint8)
         seqs[0, :, 0] = np.arange(40) % 2
-        SequentialSimulator(circuit).run_sequences_nets(seqs, [circuit.outputs[0]])
-        assert 0 < len(compiled._fire_cache) <= 128
-        # Restricted sub-schedules never cover the whole schedule here.
-        for groups in compiled._fire_cache.values():
-            assert groups is None or len(groups) <= len(compiled.schedule)
+        sim = SequentialSimulator(circuit)
+        watch = [instance.trigger_net]
+        first = sim.run_sequences_nets(seqs, watch)
+        plan = compiled.sequential_plan((compiled.index[watch[0]],))
+        assert (sim.run_sequences_nets(seqs, watch) == first).all()
+        assert compiled.sequential_plan((compiled.index[watch[0]],)) is plan
+        # Only the counter is stepped: the trigger's clock source N1 is a PI.
+        assert first.any()
+        stepped = sum(group.out_idx.size for group in plan.state)
+        assert stepped == 4  # the three inverters and the trigger AND
+        assert plan.dff_idx.size == 3
+        # Every distinct watched set is a plan; the cache stops growing.
+        for net in circuit.nets:
+            sim.run_sequences_nets(seqs[:, :3], [net])
+        for i, net in enumerate(list(circuit.nets)[: _PLAN_CACHE_MAX]):
+            sim.run_sequences_nets(seqs[:, :3], [net, circuit.nets[i - 1]])
+        assert len(compiled._plan_cache) == _PLAN_CACHE_MAX
