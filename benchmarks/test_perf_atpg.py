@@ -1,15 +1,20 @@
-"""Defender-ATPG perf harness: test generation and compaction.
+"""Defender-ATPG perf harness: test generation, compaction and fault masks.
 
 Times ``generate_test_set`` under the default defender profile
-(``DefenderModel().atpg``) on c432, c880 and c3540, the median of three runs,
-and times detection-mask compaction against the re-simulating oracle kept in
-the tests, on c880's pre-compaction pattern matrix.  Merges an ``atpg``
-section into ``BENCH_perf.json``.  The two compactions must keep the same
-rows — a speedup from a wrong answer is no speedup.
+(``DefenderModel().atpg``) on c432, c880, c3540 and c6288, the median of
+three runs; times detection-mask compaction against the re-simulating oracle
+kept in the tests, on c880's pre-compaction pattern matrix; and times
+``FaultSimulator.detection_masks`` (one cone walk per fanout-free-region
+root) against ``reference_detection_masks`` (one cone walk per fault) on
+c3540's pre-compaction pattern matrix and every collapsed fault.  Merges an
+``atpg`` section into ``BENCH_perf.json``.  Each pair must agree — the same
+kept rows, the same masks — since a speedup from a wrong answer is no
+speedup.
 
-The floor is a loud-regression tripwire well below the observed compaction
-speedup (~60x on c880): it catches compaction falling back to per-pattern
-re-simulation, not machine-to-machine variance.
+The floors are loud-regression tripwires well below the observed speedups
+(~60x for compaction on c880, ~2x for the masks on c3540): they catch
+compaction falling back to per-pattern re-simulation and the masks falling
+back to one cone walk per fault, not machine-to-machine variance.
 """
 
 from __future__ import annotations
@@ -21,9 +26,11 @@ import numpy as np
 
 from repro.atpg import FaultSimulator, collapse_faults, generate_test_set
 from repro.atpg import generate as generate_module
-from repro.bench import c432_like, c880_like, c3540_like
+from repro.bench import c432_like, c880_like, c3540_like, c6288_like
 from repro.core.thresholds import DefenderModel
+from tests.oracles import reference_detection_masks
 from tests.test_atpg_generate import oracle_compact
+from tests.test_ppsfp import defender_patterns
 
 from conftest import BENCH_PERF_PATH, update_perf_report
 
@@ -33,10 +40,14 @@ CIRCUITS = {
     "c432": c432_like,
     "c880": c880_like,
     "c3540": c3540_like,
+    "c6288": c6288_like,
 }
 
 #: Loud-regression floor on mask compaction vs. the re-simulating oracle.
 MIN_COMPACTION_SPEEDUP = 10.0
+
+#: Loud-regression floor on region-root masks vs. the per-fault cone walk.
+MIN_MASKS_SPEEDUP = 1.5
 
 
 def _median_time(fn, repeats: int = REPEATS):
@@ -46,22 +57,6 @@ def _median_time(fn, repeats: int = REPEATS):
         result = fn()
         times.append(time.perf_counter() - start)
     return statistics.median(times), result
-
-
-def _uncompacted_patterns(circuit, config, monkeypatch) -> np.ndarray:
-    """The pattern matrix ``generate_test_set`` hands to compaction."""
-    seen = []
-    real = generate_module._compact
-
-    def capture(masks, patterns):
-        seen.append(patterns)
-        return real(masks, patterns)
-
-    monkeypatch.setattr(generate_module, "_compact", capture)
-    generate_test_set(circuit, config)
-    monkeypatch.undo()
-    (patterns,) = seen
-    return patterns
 
 
 def test_atpg_generate_and_compaction(monkeypatch):
@@ -77,7 +72,7 @@ def test_atpg_generate_and_compaction(monkeypatch):
         }
 
     circuit = c880_like()
-    patterns = _uncompacted_patterns(circuit, config, monkeypatch)
+    patterns = defender_patterns(circuit, monkeypatch)
     faults = collapse_faults(circuit)
     simulator = FaultSimulator(circuit)
     mask_s, kept = _median_time(
@@ -91,10 +86,22 @@ def test_atpg_generate_and_compaction(monkeypatch):
     assert np.array_equal(kept, oracle_kept), "mask compaction diverged from the oracle"
     speedup = oracle_s / mask_s
 
+    circuit = c3540_like()
+    wide = defender_patterns(circuit, monkeypatch)
+    faults = collapse_faults(circuit)
+    simulator = FaultSimulator(circuit)
+    region_s, masks = _median_time(lambda: simulator.detection_masks(wide, faults))
+    per_fault_s, want = _median_time(
+        lambda: reference_detection_masks(circuit, wide, faults)
+    )
+    assert masks == want, "region-root masks diverged from the per-fault walk"
+    masks_speedup = per_fault_s / region_s
+
     update_perf_report("atpg", {
         "workload": "generate_test_set under DefenderModel().atpg, median of "
         f"{REPEATS}; c880 compaction (mask pass + set cover) vs. the "
-        "re-simulating oracle",
+        "re-simulating oracle; c3540 detection_masks (one cone walk per "
+        "fanout-free-region root) vs. the per-fault cone walk",
         "generate": generate,
         "compaction": {
             "circuit": "c880",
@@ -104,9 +111,22 @@ def test_atpg_generate_and_compaction(monkeypatch):
             "oracle_s": oracle_s,
             "speedup": speedup,
         },
+        "detection_masks": {
+            "circuit": "c3540",
+            "patterns": int(wide.shape[0]),
+            "faults": len(faults),
+            "region_s": region_s,
+            "per_fault_s": per_fault_s,
+            "speedup": masks_speedup,
+        },
     })
     assert speedup >= MIN_COMPACTION_SPEEDUP, (
         f"mask compaction speedup regressed: {speedup:.1f}x < "
         f"{MIN_COMPACTION_SPEEDUP}x over the re-simulating oracle on c880 "
+        f"(see {BENCH_PERF_PATH})"
+    )
+    assert masks_speedup >= MIN_MASKS_SPEEDUP, (
+        f"detection_masks speedup regressed: {masks_speedup:.2f}x < "
+        f"{MIN_MASKS_SPEEDUP}x over the per-fault cone walk on c3540 "
         f"(see {BENCH_PERF_PATH})"
     )

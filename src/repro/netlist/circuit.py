@@ -50,6 +50,7 @@ class Circuit:
         # stored here so structural mutations drop it with the other caches.
         self._compiled_cache = None
         self._fingerprint_cache: Optional[str] = None
+        self._sequential_cache: Optional[bool] = None
         # Provenance for incremental recompilation: the circuit this one was
         # copied from.  Mutations do NOT clear it — repro.sim.compiled diffs
         # against the ancestor's gate map to patch schedules instead of
@@ -201,7 +202,11 @@ class Circuit:
 
     @property
     def is_sequential(self) -> bool:
-        return any(g.is_sequential for g in self._gates.values())
+        if self._sequential_cache is None:
+            self._sequential_cache = any(
+                g.is_sequential for g in self._gates.values()
+            )
+        return self._sequential_cache
 
     def fanout(self, net: str) -> Tuple[str, ...]:
         """Names of gates that read ``net``."""
@@ -349,6 +354,7 @@ class Circuit:
         dup._level_cache = self._level_cache
         dup._compiled_cache = self._compiled_cache
         dup._fingerprint_cache = self._fingerprint_cache
+        dup._sequential_cache = self._sequential_cache
         dup._derived_from = self
         return dup
 
@@ -358,6 +364,7 @@ class Circuit:
         self._level_cache = None
         self._compiled_cache = None
         self._fingerprint_cache = None
+        self._sequential_cache = None
 
     # ------------------------------------------------------------------
     # dunder helpers

@@ -31,12 +31,14 @@ and builds:
 Fault-simulation support
 ------------------------
 Fault simulation (:class:`~repro.atpg.faultsim.FaultSimulator`) runs the full
-schedule once for the good values, then walks each fault site's fanout cone
-one gate at a time on Python ints.  The compiled form supplies what that walk
-needs: :meth:`CompiledCircuit.cone_rows_at`, the site's cone rows in
-topological order, and ``node``, each row's gate type and input rows.  Cone
-row lists are cached on the compiled circuit, so every simulator built for
-the same (unmutated) circuit shares them.
+schedule once for the good values, then walks one fanout cone per
+fanout-free-region root (not per fault) one gate at a time on Python ints;
+each fault reaches its root along a single path, evaluated from good values.
+The compiled form supplies what that needs: ``node``, each row's gate type
+and input rows (from which the simulator derives its region table), and
+:meth:`CompiledCircuit.cone_rows_at`, a root's cone rows in topological
+order.  Cone row lists are cached on the compiled circuit, so every
+simulator built for the same (unmutated) circuit shares them.
 
 Sequential schedule
 -------------------
@@ -305,7 +307,7 @@ class CompiledCircuit:
         self.is_sequential = bool(dff_nets)
 
         #: Per-row (gate_type, input row indices); None for source rows.
-        #: Fault simulation's Python-int cone walk evaluates gates from it.
+        #: Fault simulation's region table and cone walks read it.
         self.node: List[object] = [None] * self.n_nets
 
         self.schedule: List[GateGroup] = []

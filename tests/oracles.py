@@ -16,7 +16,11 @@ engine it pins:
   only the current vector and a per-vector step of the state rows;
 * ``reference_fault_sim`` — the block-wise Python-int fault simulator
   behind :class:`~repro.atpg.faultsim.FaultSimulator`; it processes 64
-  patterns at a time as arbitrary-precision Python ints.
+  patterns at a time as arbitrary-precision Python ints;
+* ``reference_detection_masks`` — full-width detection masks by one
+  fanout-cone walk per *fault*, as
+  :meth:`~repro.atpg.faultsim.FaultSimulator.detection_masks` computed them
+  before it walked one cone per fanout-free-region root.
 
 Three netlist-walk oracles sit alongside them, each the straightforward form
 of an optimized pass:
@@ -158,6 +162,57 @@ def reference_fault_sim(
         remaining = still
     result.undetected = [f for f in remaining if f not in result.detected]
     return result
+
+
+def reference_detection_masks(
+    circuit: Circuit, patterns: np.ndarray, faults: Sequence[StuckAtFault]
+) -> List[int]:
+    """Per fault, the int whose bit *p* is set iff pattern *p* detects it.
+
+    One good simulation on the compiled engine, each row one n-bit int, then
+    one Python-int walk of every fault's own fanout cone: inject the stuck
+    value at the site, evaluate each cone gate with a faulty input, stop
+    where the effect is masked, and collect faulty ^ good on the primary
+    outputs.  No fanout-free-region shortcut, so it pins
+    :meth:`~repro.atpg.faultsim.FaultSimulator.detection_masks` bit for bit.
+    """
+    patterns = np.atleast_2d(np.asarray(patterns))
+    n_patterns = patterns.shape[0]
+    if n_patterns == 0:
+        return [0] * len(faults)
+    cc = compile_circuit(circuit)
+    matrix = cc.simulate_packed(pack_patterns(patterns))
+    host = np.ascontiguousarray(matrix, dtype="<u8")
+    data = host.tobytes()
+    width = host.shape[1] * 8
+    full = (1 << n_patterns) - 1
+    good = [
+        int.from_bytes(data[start : start + width], "little") & full
+        for start in range(0, len(data), width)
+    ]
+
+    def detect_mask(site: int, stuck: int) -> int:
+        if good[site] == stuck:
+            return 0  # never excited by these patterns
+        faulty: Dict[int, int] = {site: stuck}
+        detect = 0
+        for row in cc.cone_rows_at(site):
+            gate_type, ins = cc.node[row]
+            if faulty.keys().isdisjoint(ins):
+                continue  # no input carries the fault effect
+            value = _evaluate_packed_int(
+                gate_type, [faulty.get(i, good[i]) for i in ins], full
+            )
+            if value == good[row]:
+                continue  # effect masked at this gate for all patterns
+            faulty[row] = value
+            if row in cc.po_set:
+                detect |= value ^ good[row]
+        if site in cc.po_set:
+            detect |= stuck ^ good[site]
+        return detect & full
+
+    return [detect_mask(cc.index[f.net], full if f.value else 0) for f in faults]
 
 
 def _eval_packed(

@@ -182,6 +182,25 @@ class TestMutation:
         assert c17_circuit.has_net("N22")
         assert "N22" in c17_circuit.outputs
 
+    def test_is_sequential_follows_edits(self, c17_circuit):
+        c = c17_circuit
+        assert not c.is_sequential
+        before = c.copy()
+        c.add_gate("q", GateType.DFF, ("N22", "N1"))
+        assert c.is_sequential
+        assert not before.is_sequential  # the copy's cached answer is its own
+        carried = c.copy()
+        assert carried._sequential_cache is True and carried.is_sequential
+        c.rename_net("q", "state")
+        assert c.is_sequential
+        c.replace_gate("state", GateType.NOT, ("N22",))
+        assert not c.is_sequential
+        assert carried.is_sequential
+        c.replace_gate("state", GateType.DFF, ("N22", "N1"))
+        assert c.is_sequential
+        c.remove_gates(["state"])
+        assert not c.is_sequential
+
     def test_mutation_invalidates_caches(self, c17_circuit):
         order_before = c17_circuit.topological_order()
         c17_circuit.unset_output("N23")
