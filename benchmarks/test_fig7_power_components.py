@@ -90,7 +90,7 @@ def test_fig7_leakage_is_binding_component(benchmark, table1_results):
     print(f"\nleakage-vs-dynamic budget utilization ratios: {ratios}")
     # The HT consumes the leakage budget at a rate comparable to (and on some
     # benchmarks faster than) the dynamic budget — the regime in which leakage
-    # must be "precisely monitored in all phases" (Sec. IV.1).  See
-    # EXPERIMENTS.md for the measured spread vs. the paper's stronger claim.
+    # must be "precisely monitored in all phases" (Sec. IV.1).  The printed
+    # ratios are the measured spread; the paper's claim is stronger.
     assert all(r > 0.5 for r in ratios)
     assert any(r > 1.0 for r in ratios)

@@ -17,7 +17,7 @@ reference implementations on ISCAS-scale circuits:
   oracle.
 * **pipeline** — one end-to-end TrojanZero flow (thresholds → salvage →
   insertion → Pft Monte-Carlo) with the salvage compile-cache counters
-  (full vs. patched compiles — the structural-fingerprint cache at work),
+  (salvage walks N's compiled form, so it compiles nothing),
   and (``pipeline.padding``) c499's dummy/filler padding costed by an
   incremental :class:`~repro.power.analysis.PowerModel` vs. a fresh
   ``analyze`` per batch, and (``pipeline.synthesis``) c3540's Phase A
@@ -339,17 +339,12 @@ def test_pipeline_end_to_end_timing():
         "salvage_trials": trials,
         "salvage_compile_stats": stats,
     })
-    # The structural-fingerprint cache must keep salvage's edit/revert loop
-    # off the cold-compile path: at most the golden + first-trial compiles
-    # may be full; every other trial patches or hits a cache.
-    assert stats.get("full_compiles", 0) <= 2, (
-        f"salvage recompiled cold {stats.get('full_compiles')} times over "
-        f"{trials} trials (stats: {stats}; see {BENCH_PERF_PATH})"
+    # Salvage's trials are stuck-at cone walks on the compiled form Phase A
+    # left on N: no trial, accepted or not, may compile anything.
+    assert stats["full_compiles"] == 0 and stats["patched_compiles"] == 0, (
+        f"salvage compiled over {trials} trials (stats: {stats}; "
+        f"see {BENCH_PERF_PATH})"
     )
-    if trials > 2:
-        assert (
-            stats.get("patched_compiles", 0) + stats.get("fingerprint_hits", 0) > 0
-        ), f"no compile-cache hits across {trials} salvage trials: {stats}"
 
 
 # ---------------------------------------------------------------------------

@@ -29,13 +29,16 @@ first-detect view of those masks (the lowest set bit per fault).
 This powers (a) the ATPG outer loop (drop every fault a fresh PODEM vector
 detects), (b) compaction and coverage reporting, and (c) the reproduction's
 analysis of *which* stuck-at faults the defender's TP set leaves uncovered —
-the holes TrojanZero's removals hide in.
+the holes TrojanZero's removals hide in.  The cone walk itself,
+:func:`propagate_forced`, also decides Algorithm 1's trials
+(:mod:`repro.core.salvage`): tying a net to a constant is the stuck-at
+fault the defender's patterns either detect or miss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,6 +120,68 @@ def _fanout_free_hops(cc: CompiledCircuit) -> List[Optional[Hop]]:
     return hops
 
 
+def good_values(cc: CompiledCircuit, patterns: np.ndarray) -> Tuple[List[int], int]:
+    """Simulate ``patterns`` once; per row of ``cc``, one n-bit Python int.
+
+    Bit *p* of row *r*'s int is row *r*'s value on pattern *p*.  Also
+    returns ``full``, the int with all n pattern bits set.
+    """
+    n_patterns = patterns.shape[0]
+    full = (1 << n_patterns) - 1
+    if n_patterns == 0:
+        return [0] * cc.n_nets, full
+    matrix = cc.simulate_packed(pack_patterns(patterns))
+    host = np.ascontiguousarray(matrix, dtype="<u8")
+    data = host.tobytes()
+    width = host.shape[1] * 8
+    # Inverting gates set the pad bits past n_patterns; mask them off so
+    # the == early-exits in the cone walk stay exact.
+    good = [
+        int.from_bytes(data[start : start + width], "little") & full
+        for start in range(0, len(data), width)
+    ]
+    return good, full
+
+
+def propagate_forced(
+    node: Sequence[Optional[Tuple[GateType, Tuple[int, ...]]]],
+    po_set: AbstractSet[int],
+    cone: Iterable[int],
+    good: List[int],
+    forced: Dict[int, int],
+    full: int,
+) -> int:
+    """Walk a fanout cone with some rows forced; bit *p* set iff a PO changes.
+
+    ``forced`` maps rows to the values they are forced to; ``cone`` is every
+    row downstream of them, in topological order, and ``node`` gives each
+    row's gate type and input rows (a row with no inputs never changes).
+    The walk goes gate by gate on Python ints over ``good``, skips gates
+    with no changed input and drops every value equal to ``good``, so an
+    effect stops wherever it is masked.  ``forced`` is extended in place
+    with every row whose value changed: on return it is exactly the
+    difference between the forced circuit and ``good``.
+    """
+    observed = 0
+    for row, value in forced.items():
+        if row in po_set:
+            observed |= value ^ good[row]
+    carriers = forced.keys()
+    for row in cone:
+        gate_type, ins = node[row]
+        if carriers.isdisjoint(ins):
+            continue  # no input carries a change
+        value = _evaluate_packed_int(
+            gate_type, [forced.get(i, good[i]) for i in ins], full
+        )
+        if value == good[row]:
+            continue  # change masked at this gate for all patterns
+        forced[row] = value
+        if row in po_set:
+            observed |= value ^ good[row]
+    return observed
+
+
 @dataclass
 class FaultSimResult:
     """Outcome of simulating a fault set against a pattern set."""
@@ -142,32 +207,14 @@ class FaultSimulator:
         self._hops = _fanout_free_hops(self._compiled)
 
     def _observability(self, root: int, good: List[int], full: int) -> int:
-        """Bit *p* set iff flipping row ``root`` on pattern *p* reaches a PO.
-
-        One Python-int walk of the root's fanout cone, gate by gate, with the
-        root's value inverted on every pattern.  Gates with no faulty input
-        are skipped and the walk stops wherever the effect is masked.
-        """
+        """Bit *p* set iff flipping row ``root`` on pattern *p* reaches a PO."""
         cc = self._compiled
-        node, po_set = cc.node, cc.po_set
-        if root in po_set:
+        if root in cc.po_set:
             return full
-        faulty: Dict[int, int] = {root: good[root] ^ full}
-        carriers = faulty.keys()
-        observed = 0
-        for row in cc.cone_rows_at(root):
-            gate_type, ins = node[row]
-            if carriers.isdisjoint(ins):
-                continue  # no input carries the fault effect
-            value = _evaluate_packed_int(
-                gate_type, [faulty.get(i, good[i]) for i in ins], full
-            )
-            if value == good[row]:
-                continue  # effect masked at this gate for all patterns
-            faulty[row] = value
-            if row in po_set:
-                observed |= value ^ good[row]
-        return observed
+        return propagate_forced(
+            cc.node, cc.po_set, cc.cone_rows_at(root), good,
+            {root: good[root] ^ full}, full,
+        )
 
     def run(
         self, patterns: np.ndarray, faults: Iterable[StuckAtFault]
@@ -199,21 +246,7 @@ class FaultSimulator:
         of the region.  The lowest set bit is the first-detect index
         :meth:`run` reports; 0 = undetected.
         """
-        patterns = np.atleast_2d(np.asarray(patterns))
-        n_patterns = patterns.shape[0]
-        if n_patterns == 0:
-            return [0] * len(faults)
-        matrix = self._compiled.simulate_packed(pack_patterns(patterns))
-        host = np.ascontiguousarray(matrix, dtype="<u8")
-        data = host.tobytes()
-        width = host.shape[1] * 8
-        full = (1 << n_patterns) - 1
-        # Inverting gates set the pad bits past n_patterns; mask them off so
-        # the == early-exits in the cone walk stay exact.
-        good = [
-            int.from_bytes(data[start : start + width], "little") & full
-            for start in range(0, len(data), width)
-        ]
+        good, full = good_values(self._compiled, np.atleast_2d(np.asarray(patterns)))
         index = self._compiled.index
         hops = self._hops
         observability: Dict[int, int] = {}

@@ -3,8 +3,8 @@
 The paper evaluates on the historical ISCAS85 netlists c432, c499, c880,
 c1908 and c3540.  Those exact netlists cannot be fetched in this offline
 environment, so each generator below constructs a *functionally real* circuit
-of the same class and approximate size (see DESIGN.md §2 for the substitution
-argument):
+of the same class and approximate size (README, "Benchmark circuits", gives
+the substitution argument):
 
 ========  =====================================  ======  =======
 paper     function class                          PIs    ~gates

@@ -6,12 +6,12 @@ HT-free, modified, and TZ-infected circuits with their power/area
 characterizations, candidate/expendable counts, the inserted design, and the
 trigger probability Pft.
 
-Every simulation in the flow — threshold fault-sims, salvage's functional
-trials, the sequential functional tests of the infected N'', and the
-Monte-Carlo Pft sessions — runs on the compiled levelized engine of
+Every simulation in the flow — threshold fault-sims, salvage's trials, the
+sequential functional tests of the infected N'', and the Monte-Carlo Pft
+sessions — runs on the compiled levelized engine of
 :mod:`repro.sim.compiled`, sharing schedules across circuit copies through
-the structural-fingerprint cache (salvage's edit/revert trials compile by
-patching, not from cold).
+the structural-fingerprint cache.  Salvage's trials are stuck-at cone walks
+on N's compiled form, which Phase A already built, so they compile nothing.
 
 Phase A depends only on N, the defender model (with its derived seeds) and
 the cell library — Pth first appears in Algorithm 1 — so :func:`phase_a`
@@ -130,12 +130,11 @@ def _lean_copy(circuit: Circuit) -> Circuit:
 
     Phase A's fault simulation leaves per-site cone row lists on the
     compiled form (on c3540, 1087 lists holding 90k row ints).  Nothing
-    after Phase A reads them, so the stored copy keeps the compiled schedule
-    (sharing cells still skip the cold compile) without those caches, and
-    no link to the original circuit.
+    after Phase A reads them (salvage walks a cache-free view of its own),
+    so the stored copy keeps the compiled schedule (sharing cells still skip
+    the cold compile) without those caches.
     """
     lean = circuit.copy()
-    lean._derived_from = None
     if lean._compiled_cache is not None:
         lean._compiled_cache = lean._compiled_cache.without_caches()
     return lean
@@ -200,7 +199,6 @@ class TrojanZeroResult:
             f"  candidates |C| = {self.salvage.candidate_count}, "
             f"expendable Eg = {self.salvage.expendable_gates}",
             f"  salvage compiles: {stats.get('full_compiles', 0)} full, "
-            f"{stats.get('patched_compiles', 0)} patched, "
             f"{stats.get('fingerprint_hits', 0)} fingerprint hits",
             f"  N : total {n.total_uw:8.2f} uW  area {n.area_ge:8.1f} GE",
             f"  N': total {np_.total_uw:8.2f} uW  area {np_.area_ge:8.1f} GE",

@@ -7,12 +7,20 @@ constant, dead-strip the fan-in logic this strands, and keep each edit only
 if *every* defender pattern set still passes.  The freed power and area are
 the salvaged budget for HT insertion.
 
-The edit/revert loop leans on the structural compile cache of
-:mod:`repro.sim.compiled`: ``work.copy()`` shares the current compiled
-schedule, each tie/strip trial compiles by *patching* its ancestor's
-schedule instead of recompiling cold, and reverting (discarding the trial)
-costs nothing because ``work`` keeps its attached form.
-:attr:`SalvageResult.compile_stats` records the cache behaviour of the run.
+A trial is stuck-at fault simulation (ATPG-based redundancy removal,
+Bushnell & Agrawal): tying net *s* to *v* is the fault *s* stuck-at-*v*,
+and the edit passes exactly when no defender pattern detects it in the
+working circuit.  Every accepted edit passed every pattern, so the working
+circuit equals ``N`` at the outputs on every pattern, and a trial need not
+compare against ``N`` at all.  ``N`` is simulated once on all patterns, on
+its compiled form, as one Python int per row
+(:func:`repro.atpg.faultsim.good_values`); each trial forces *s* to *v* and
+walks *s*'s fanout cone (:func:`repro.atpg.faultsim.propagate_forced`),
+rows tied by earlier accepted edits acting as inputless sources.  No PO
+change accepts the edit: the walk's changed rows merge into the per-row
+values, and the tie and dead-strip are applied to the working circuit once.
+Salvage therefore compiles nothing when ``N`` is already compiled (as
+Phase A leaves it); :attr:`SalvageResult.compile_stats` records that.
 """
 
 from __future__ import annotations
@@ -22,14 +30,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..netlist.circuit import Circuit
+from ..atpg.faultsim import good_values, propagate_forced
+from ..netlist.circuit import Circuit, NetlistError
 from ..netlist.gate import GateType
 from ..netlist.transform import strip_dead_logic, tie_net_to_constant
 from ..power.analysis import PowerDelta, PowerReport, analyze
 from ..power.library import CellLibrary
 from ..prob.propagate import rare_nodes, signal_probabilities
-from ..sim.compiled import COMPILE_STATS
-from ..sim.equivalence import functional_test
+from ..sim.compiled import COMPILE_STATS, compile_circuit
 
 
 @dataclass(frozen=True)
@@ -56,8 +64,9 @@ class SalvageResult:
     removals: List[RemovalRecord]
     power_before: PowerReport
     power_after: PowerReport
-    #: Compile-cache counter deltas over this run (full/patched/fingerprint/
-    #: attached — see ``repro.sim.compiled.COMPILE_STATS``).
+    #: Compile-cache counter deltas over this run (see
+    #: ``repro.sim.compiled.COMPILE_STATS``); no full compile when ``N``
+    #: arrives compiled.
     compile_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -108,8 +117,9 @@ def salvage(
         Optional cap on how many candidates are attempted (largest extremity
         first), for bounded-effort runs.
     """
+    if circuit.is_sequential:
+        raise NetlistError("salvage runs on the combinational HT-free circuit")
     stats_before = COMPILE_STATS.snapshot()
-    golden = circuit.copy()
     work = circuit.copy(f"{circuit.name}_mod")
     if power_before is None:
         power_before = analyze(circuit, library)
@@ -117,6 +127,17 @@ def salvage(
     candidates = rare_nodes(work, p_threshold)
     if max_candidates is not None:
         candidates = candidates[:max_candidates]
+
+    # A view without the cone caches, so the walks below pin none on a
+    # compiled form that outlives this call (the Phase A memo's).
+    compiled = compile_circuit(circuit).without_caches()
+    patterns = [np.atleast_2d(np.asarray(p)) for p in pattern_sets]
+    values, full = good_values(
+        compiled,
+        np.vstack(patterns) if patterns else np.zeros((0, len(circuit.inputs))),
+    )
+    # N's gate table, with each accepted tie turned into a source row.
+    node = list(compiled.node)
 
     removals: List[RemovalRecord] = []
     for net, p_one in candidates:
@@ -133,22 +154,12 @@ def salvage(
             continue
         tied_value = 1 if p_one >= 0.5 else 0
 
-        trial = work.copy()
-        tie_net_to_constant(trial, net, tied_value)
-        stripped = strip_dead_logic(trial)
-        if functional_test(trial, golden, pattern_sets):
-            work = trial
-            removals.append(
-                RemovalRecord(
-                    net,
-                    p_one,
-                    tied_value,
-                    True,
-                    stripped_gates=tuple(stripped),
-                    reason="passed all defender tests",
-                )
-            )
-        else:
+        row = compiled.index[net]
+        forced = full if tied_value else 0
+        changed = {row: forced} if forced != values[row] else {}
+        if changed and propagate_forced(
+            node, compiled.po_set, compiled.cone_rows_at(row), values, changed, full
+        ):
             removals.append(
                 RemovalRecord(
                     net,
@@ -158,6 +169,21 @@ def salvage(
                     reason="defender test pattern detected the edit",
                 )
             )
+            continue
+        for changed_row, value in changed.items():
+            values[changed_row] = value
+        node[row] = (GateType.TIE1 if tied_value else GateType.TIE0, ())
+        tie_net_to_constant(work, net, tied_value)
+        removals.append(
+            RemovalRecord(
+                net,
+                p_one,
+                tied_value,
+                True,
+                stripped_gates=tuple(strip_dead_logic(work)),
+                reason="passed all defender tests",
+            )
+        )
 
     power_after = analyze(work, library)
     return SalvageResult(

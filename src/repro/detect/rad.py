@@ -13,9 +13,9 @@ Two statistic modes:
   HT is assumed additive, so only an increase raises the alarm.
 * ``"structural"`` — a stronger variant using the maximum absolute regional
   z-score.  This sees power *redistribution*, not just totals, and is part
-  of this reproduction's ablation: TrojanZero does **not** evade it (see
-  EXPERIMENTS.md), supporting the paper's closing call for new detection
-  methodologies.
+  of this reproduction's ablation: TrojanZero does **not** evade it
+  (``benchmarks/test_evasion.py::test_evasion_structural_ablation``),
+  supporting the paper's closing call for new detection methodologies.
 """
 
 from __future__ import annotations

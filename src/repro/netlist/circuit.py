@@ -51,11 +51,6 @@ class Circuit:
         self._compiled_cache = None
         self._fingerprint_cache: Optional[str] = None
         self._sequential_cache: Optional[bool] = None
-        # Provenance for incremental recompilation: the circuit this one was
-        # copied from.  Mutations do NOT clear it — repro.sim.compiled diffs
-        # against the ancestor's gate map to patch schedules instead of
-        # recompiling after small edits (salvage's tie/strip trials).
-        self._derived_from: Optional["Circuit"] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -355,7 +350,6 @@ class Circuit:
         dup._compiled_cache = self._compiled_cache
         dup._fingerprint_cache = self._fingerprint_cache
         dup._sequential_cache = self._sequential_cache
-        dup._derived_from = self
         return dup
 
     def _invalidate(self) -> None:

@@ -12,8 +12,10 @@ measurable:
   the power detectors (calibrated on golden chips with delay variation).
 
 The delay experiments are an *extension* of the paper (it only evaluates
-power/area detection); EXPERIMENTS.md reports what they show: the payload
-adds a measurable delay on the victim's paths unless the victim has slack.
+power/area detection);
+``benchmarks/test_extensions.py::test_delay_side_channel_on_tz_circuit``
+measures what they show: the payload adds a measurable delay on the
+victim's paths unless the victim has slack.
 """
 
 from __future__ import annotations

@@ -132,13 +132,7 @@ class BitSimulator:
         for i, pi in enumerate(self.circuit.inputs):
             values[self._compiled.input_idx[i]] = packed_inputs[pi]
         self._compiled.run_matrix(values)
-        # A patched/shared compiled form may carry rows for dead-stripped
-        # nets; report only nets the circuit actually has.
-        return {
-            net: values[i]
-            for i, net in enumerate(self._order)
-            if net in self.circuit
-        }
+        return {net: values[i] for i, net in enumerate(self._order)}
 
     def _run_matrix(self, patterns: np.ndarray) -> np.ndarray:
         """Pack ``patterns`` and evaluate; returns the full value matrix."""
@@ -161,11 +155,7 @@ class BitSimulator:
         n_patterns = patterns.shape[0]
         values = self._run_matrix(patterns)
         unpacked = unpack_patterns(values, n_patterns)
-        return {
-            net: unpacked[:, i]
-            for i, net in enumerate(self._order)
-            if net in self.circuit
-        }
+        return {net: unpacked[:, i] for i, net in enumerate(self._order)}
 
     def run_nets(self, patterns: np.ndarray, nets: Sequence[str]) -> np.ndarray:
         """Simulate and unpack only ``nets``: returns ``(n_patterns, len(nets))``.

@@ -57,23 +57,18 @@ cached per watched set in a bounded per-circuit cache.
 
 Compilation caching
 -------------------
-:func:`compile_circuit` memoizes at three levels:
+:func:`compile_circuit` memoizes at two levels:
 
 1. **attached** — the compiled form is stored on the circuit object itself;
    any structural mutation invalidates it (``Circuit._invalidate``), and
    ``Circuit.copy()`` carries it over, so unmutated copies share it.
 2. **fingerprint** — a bounded LRU keyed by
    :meth:`Circuit.structural_fingerprint` catches structurally identical
-   circuits that are *different objects* (edit/revert round-trips in
-   :mod:`repro.core.salvage`, re-parsed netlists).
-3. **patched** — when a circuit was :meth:`~Circuit.copy`-derived from one
-   that is already compiled and differs only by gates tied to TIE0/TIE1
-   (plus dead gates stripped), the ancestor's schedule is *patched*: row
-   order and input-index arrays are shared, the tied rows move from their
-   gate groups to the constant-row lists, and stripped rows simply keep
-   evaluating harmlessly.  This is what makes salvage's per-candidate
-   tie/strip/test trials run without a single cold compile.
+   circuits that are *different objects* (edit/revert round-trips,
+   re-parsed netlists).
 
+Salvage's tie trials need neither: they are stuck-at cone walks on the
+compiled form of the unedited circuit (:mod:`repro.core.salvage`).
 ``COMPILE_STATS`` counts hits per level so callers (and the perf harness)
 can verify cache behaviour.
 """
@@ -478,33 +473,17 @@ class CompiledCircuit:
         """Restrict the group schedule to the (sorted) member ``rows``."""
         groups: List[GateGroup] = []
         for group in self.schedule:
-            if isinstance(group.out, slice):
-                # Each full group owns one contiguous row run, so the
-                # member rows inside it form one bisectable span.
-                start, stop = group.out.start, group.out.stop
-                lo = bisect_left(rows, start)
-                hi = bisect_left(rows, stop)
-                if hi == lo:
-                    continue
-                if hi - lo == stop - start:
-                    groups.append(group)
-                    continue
-                keep = np.array(rows[lo:hi], dtype=np.intp) - start
-            else:
-                # Patched groups scatter through an index array; select
-                # members by membership in the (sorted) row list.
-                rows_arr = np.asarray(rows, dtype=np.intp)
-                pos = np.searchsorted(rows_arr, group.out_idx)
-                pos_clip = np.minimum(pos, rows_arr.size - 1)
-                mask = (pos < rows_arr.size) & (
-                    rows_arr[pos_clip] == group.out_idx
-                ) if rows_arr.size else np.zeros(group.out_idx.size, dtype=bool)
-                if not mask.any():
-                    continue
-                if mask.all():
-                    groups.append(group)
-                    continue
-                keep = np.nonzero(mask)[0]
+            # Each group owns one contiguous row run, so the member rows
+            # inside it form one bisectable span.
+            start, stop = group.out.start, group.out.stop
+            lo = bisect_left(rows, start)
+            hi = bisect_left(rows, stop)
+            if hi == lo:
+                continue
+            if hi - lo == stop - start:
+                groups.append(group)
+                continue
+            keep = np.array(rows[lo:hi], dtype=np.intp) - start
             out_idx = group.out_idx[keep]
             groups.append(
                 replace(group, out_idx=out_idx, in_idx=group.in_idx[keep], out=out_idx)
@@ -524,7 +503,12 @@ class CompiledCircuit:
 
 @dataclass
 class CompileStats:
-    """Counters for the three compile-cache levels (see module docstring)."""
+    """Counters for the compile-cache levels (see module docstring).
+
+    ``patched_compiles`` always reads 0, since no compile derives from
+    another; the key stays because ``perfbench`` reports it as its
+    ``sim.compile.patched`` metric.
+    """
 
     full_compiles: int = 0
     patched_compiles: int = 0
@@ -550,149 +534,12 @@ COMPILE_STATS = CompileStats()
 _SHARED_CACHE: "OrderedDict[str, CompiledCircuit]" = OrderedDict()
 _SHARED_CACHE_MAX = 48
 
-#: A patch inherits the ancestor's rows, dead ones included; recompile in
-#: full once the live circuit shrinks below this fraction of the row count
-#: (bounds the wasted evaluation across long accepted-edit chains).
-_PATCH_MIN_LIVE_FRACTION = 0.7
-
-
-def _tie_diff(circuit: Circuit, parent: Circuit) -> Optional[Dict[str, int]]:
-    """Map of nets tied to constants if ``circuit`` is a tie/strip derivative
-    of ``parent``; ``None`` when the edit is not patchable.
-
-    Patchable means: no new nets, no PI changes, every changed driver became
-    TIE0/TIE1, and nothing sequential was touched.  Removed (dead-stripped)
-    nets are implicitly fine — their rows keep evaluating in the parent
-    schedule without affecting any live net.
-    """
-    if circuit._inputs != parent._inputs:
-        return None
-    parent_gates = parent._gates
-    tied: Dict[str, int] = {}
-    for name, gate in circuit._gates.items():
-        old = parent_gates.get(name)
-        if old is None:
-            return None  # new net: structure grew, no patch
-        if old is gate or old == gate:
-            continue
-        if old.is_sequential or gate.is_sequential:
-            return None  # DFF set changed; state rows would be wrong
-        if gate.gate_type is GateType.TIE0:
-            tied[name] = 0
-        elif gate.gate_type is GateType.TIE1:
-            tied[name] = 1
-        else:
-            return None
-    return tied
-
-
-def _build_patched(
-    parent: CompiledCircuit, circuit: Circuit, tied: Dict[str, int]
-) -> CompiledCircuit:
-    """Derive a compiled form for ``circuit`` from an ancestor's schedule.
-
-    Shares the row order, index map, and input-index arrays; the tied nets'
-    rows move from their gate groups to the constant-row lists.  Rows of
-    dead-stripped nets stay in the schedule (their evaluation is wasted but
-    harmless — they read only rows that are still computed).
-    """
-    comp = CompiledCircuit.__new__(CompiledCircuit)
-    comp.order = parent.order
-    comp.index = parent.index
-    comp.n_nets = parent.n_nets
-    comp.input_idx = parent.input_idx
-    comp.output_idx = np.array(
-        [parent.index[po] for po in circuit.outputs], dtype=np.intp
-    )
-    comp.po_set = frozenset(comp.output_idx.tolist())
-    tie0_new = sorted(parent.index[n] for n, v in tied.items() if v == 0)
-    tie1_new = sorted(parent.index[n] for n, v in tied.items() if v == 1)
-    comp.tie0_idx = np.concatenate(
-        [parent.tie0_idx, np.array(tie0_new, dtype=np.intp)]
-    )
-    comp.tie1_idx = np.concatenate(
-        [parent.tie1_idx, np.array(tie1_new, dtype=np.intp)]
-    )
-    comp.dff_names = parent.dff_names
-    comp.dff_idx = parent.dff_idx
-    comp.dff_d_idx = parent.dff_d_idx
-    comp.dff_clk_idx = parent.dff_clk_idx
-    comp.is_sequential = parent.is_sequential
-
-    drop = {parent.index[n] for n in tied}
-    comp.node = list(parent.node)
-    for row in drop:
-        comp.node[row] = None  # now a constant source row
-
-    comp.schedule = []
-    for group in parent.schedule:
-        if isinstance(group.out, slice):
-            hits = [r for r in drop if group.out.start <= r < group.out.stop]
-        else:
-            members = set(group.out_idx.tolist())
-            hits = [r for r in drop if r in members]
-        if not hits:
-            comp.schedule.append(group)
-            continue
-        keep_mask = ~np.isin(group.out_idx, np.array(sorted(hits), dtype=np.intp))
-        if not keep_mask.any():
-            continue
-        out_idx = group.out_idx[keep_mask]
-        comp.schedule.append(
-            replace(group, out_idx=out_idx, in_idx=group.in_idx[keep_mask], out=out_idx)
-        )
-
-    # Cut the reads-edges into the tied rows so fault cones no longer pass
-    # through them (edges *out of* a tied row stay — readers still exist).
-    if drop:
-        starts, dst = parent._edge_starts, parent._edge_dst
-        src = np.repeat(np.arange(parent.n_nets, dtype=np.intp), np.diff(starts))
-        keep = ~np.isin(dst, np.array(sorted(drop), dtype=np.intp))
-        src, comp._edge_dst = src[keep], dst[keep]
-        comp._edge_starts = np.searchsorted(
-            src, np.arange(parent.n_nets + 1)
-        ).astype(np.intp)
-    else:
-        comp._edge_starts, comp._edge_dst = parent._edge_starts, parent._edge_dst
-    comp._readers = None
-    comp._cone_rows_cache = {}
-    comp._plan_cache = {}
-    return comp
-
-
-def _patch_from_ancestor(circuit: Circuit) -> Optional[CompiledCircuit]:
-    """Try to derive a compiled form from the copy-ancestor chain."""
-    parent = getattr(circuit, "_derived_from", None)
-    for _ in range(8):  # accepted trials re-attach, so real chains are short
-        if parent is None:
-            return None
-        if parent._compiled_cache is not None:
-            break
-        parent = getattr(parent, "_derived_from", None)
-    else:
-        return None
-    parent_compiled: CompiledCircuit = parent._compiled_cache
-    if parent_compiled is None:
-        return None
-    if len(circuit._gates) < _PATCH_MIN_LIVE_FRACTION * parent_compiled.n_nets:
-        return None
-    # The attached compiled form may be shared; diff against the gate map of
-    # the circuit object it is attached to (structurally equal by invariant).
-    tied = _tie_diff(circuit, parent)
-    if tied is None:
-        return None
-    if any(po not in parent_compiled.index for po in circuit.outputs):
-        return None
-    return _build_patched(parent_compiled, circuit, tied)
-
-
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:
-    """Compile ``circuit`` through the attached / fingerprint / patch caches.
+    """Compile ``circuit`` through the attached / fingerprint caches.
 
     The result is memoized on the circuit object until it is mutated, and in
     a bounded fingerprint-keyed LRU shared across circuit objects, so copies
-    and edit/revert round-trips never recompile cold.  Single-gate constant
-    ties (salvage trials) reuse the ancestor's schedule via patching.
+    and edit/revert round-trips never recompile cold.
     """
     cached = getattr(circuit, "_compiled_cache", None)
     if cached is not None:
@@ -704,18 +551,10 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
         COMPILE_STATS.fingerprint_hits += 1
         _SHARED_CACHE.move_to_end(key)
     else:
-        cached = _patch_from_ancestor(circuit)
-        if cached is not None:
-            COMPILE_STATS.patched_compiles += 1
-        else:
-            cached = CompiledCircuit(circuit)
-            COMPILE_STATS.full_compiles += 1
+        cached = CompiledCircuit(circuit)
+        COMPILE_STATS.full_compiles += 1
         _SHARED_CACHE[key] = cached
         while len(_SHARED_CACHE) > _SHARED_CACHE_MAX:
             _SHARED_CACHE.popitem(last=False)
     circuit._compiled_cache = cached
-    # The ancestor link has served its purpose: patch walks stop at the
-    # first compiled ancestor, so keeping it would only pin the whole copy
-    # chain (one full Circuit per accepted salvage edit) in memory.
-    circuit._derived_from = None
     return cached

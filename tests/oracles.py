@@ -33,7 +33,10 @@ of an optimized pass:
   dead-logic strip) iterated to a fixed point
   (:func:`~repro.netlist.transform.optimize_netlist`);
 * ``reference_rank_victims`` — victim ranking with one fan-out cone walk
-  per net (:func:`~repro.core.insertion.rank_victims`).
+  per net (:func:`~repro.core.insertion.rank_victims`);
+* ``reference_salvage`` — Algorithm 1 with one circuit copy, tie,
+  dead-strip and full ``functional_test`` against ``N`` per candidate
+  (:func:`~repro.core.salvage.salvage` walks one stuck-at cone instead).
 
 Differential tests in ``tests/`` and the speedup figures of
 ``benchmarks/test_perf_sim.py`` use them.
@@ -47,12 +50,16 @@ import numpy as np
 
 from repro.atpg.fault import StuckAtFault
 from repro.atpg.faultsim import FaultSimResult, _evaluate_packed_int
+from repro.core.salvage import RemovalRecord, SalvageResult
 from repro.netlist.circuit import Circuit, NetlistError
 from repro.netlist.gate import GateType
-from repro.netlist.transform import _fold_gate, strip_dead_logic
-from repro.prob.propagate import signal_probabilities
+from repro.netlist.transform import _fold_gate, strip_dead_logic, tie_net_to_constant
+from repro.power.analysis import PowerReport, analyze
+from repro.power.library import CellLibrary
+from repro.prob.propagate import rare_nodes, signal_probabilities
 from repro.sim.bitsim import ALL_ONES, WORD_BITS, pack_patterns, unpack_patterns
 from repro.sim.compiled import compile_circuit
+from repro.sim.equivalence import functional_test
 
 
 def _blocks(patterns: np.ndarray, inputs: Sequence[str]) -> Iterable[Tuple[Dict[str, int], int, int]]:
@@ -619,3 +626,75 @@ class WholeCircuitSequentialSimulator:
             if rows.size:
                 out[:, t, :] = unpack_patterns(values[rows], n_seqs)
         return out
+
+
+def reference_salvage(
+    circuit: Circuit,
+    pattern_sets: Sequence[np.ndarray],
+    library: CellLibrary,
+    p_threshold: float,
+    power_before: Optional[PowerReport] = None,
+    max_candidates: Optional[int] = None,
+) -> SalvageResult:
+    """Algorithm 1 by whole-circuit trials: per candidate, tie it on a copy
+    of the working circuit, dead-strip, and keep the copy only if
+    ``functional_test`` against ``N`` passes every pattern set."""
+    golden = circuit.copy()
+    work = circuit.copy(f"{circuit.name}_mod")
+    if power_before is None:
+        power_before = analyze(circuit, library)
+
+    candidates = rare_nodes(work, p_threshold)
+    if max_candidates is not None:
+        candidates = candidates[:max_candidates]
+
+    removals: List[RemovalRecord] = []
+    for net, p_one in candidates:
+        if not work.has_net(net):
+            removals.append(
+                RemovalRecord(net, p_one, -1, False, reason="already stripped")
+            )
+            continue
+        gate = work.gate(net)
+        if gate.is_constant or gate.is_input:
+            removals.append(
+                RemovalRecord(net, p_one, -1, False, reason="not a logic gate")
+            )
+            continue
+        tied_value = 1 if p_one >= 0.5 else 0
+
+        trial = work.copy()
+        tie_net_to_constant(trial, net, tied_value)
+        stripped = strip_dead_logic(trial)
+        if functional_test(trial, golden, pattern_sets):
+            work = trial
+            removals.append(
+                RemovalRecord(
+                    net,
+                    p_one,
+                    tied_value,
+                    True,
+                    stripped_gates=tuple(stripped),
+                    reason="passed all defender tests",
+                )
+            )
+        else:
+            removals.append(
+                RemovalRecord(
+                    net,
+                    p_one,
+                    tied_value,
+                    False,
+                    reason="defender test pattern detected the edit",
+                )
+            )
+
+    return SalvageResult(
+        original=circuit,
+        modified=work,
+        p_threshold=p_threshold,
+        candidates=candidates,
+        removals=removals,
+        power_before=power_before,
+        power_after=analyze(work, library),
+    )

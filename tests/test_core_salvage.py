@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.bench import c432_like
 from repro.core import salvage
+from repro.core.pipeline import phase_a
+from repro.core.thresholds import DefenderModel
 from repro.sim import compare_on_patterns, exhaustive_patterns
 from repro.power import analyze
 
@@ -101,3 +104,17 @@ class TestSalvageAccounting:
         assert result.power_after.total_uw == pytest.approx(
             result.power_before.total_uw
         )
+
+
+class TestSalvageCompilesNothing:
+    def test_phase_a_circuit_is_not_recompiled(self, library):
+        """N arrives compiled from Phase A; every trial walks that form."""
+        report, _ = phase_a(c432_like(), library, DefenderModel())
+        result = salvage(
+            report.circuit, report.pattern_sets, library, 0.975,
+            power_before=report.power,
+        )
+        assert result.accepted_removals()
+        assert any(not r.accepted for r in result.removals)
+        stats = result.compile_stats
+        assert stats["full_compiles"] == 0 and stats["patched_compiles"] == 0

@@ -8,8 +8,7 @@ counter triggers, asynchronous ripple edges, oscillating DFF loops that hit
 the ripple cap, DFFs outside the watched cone, multi-word sequence batches,
 step chunks, infected ISCAS cells, and the pure-combinational degenerate
 case.  Every consumer of the engine gives the same result on either engine.
-Also covers the structural-fingerprint compile cache and the patched
-(tie/strip) compiles that salvage's edit/revert loop relies on.
+Also covers the structural-fingerprint compile cache.
 """
 
 from unittest import mock
@@ -20,7 +19,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import ExperimentSpec, execute_experiment
-from repro.atpg import FaultSimulator, full_fault_list
 from repro.atpg.mero import generate_mero_tests, mero_trigger_exposure
 from repro.bench import c17, c432_like, c880_like
 from repro.netlist import Circuit, GateType
@@ -29,7 +27,7 @@ from repro.prob.montecarlo import mc_signal_probabilities, mc_toggle_rates
 from repro.power import tech65_library
 from repro.sim import BitSimulator, compile_circuit, functional_test
 from repro.sim import seqsim as seqsim_module
-from repro.sim.compiled import COMPILE_STATS, CompiledCircuit
+from repro.sim.compiled import COMPILE_STATS
 from repro.sim.seqsim import SequentialSimulator
 from repro.traces import TraceGenerator
 from repro.traces.lab import defender_hypotheses
@@ -38,7 +36,6 @@ from repro.trojan.trigger import monte_carlo_pft
 from tests.oracles import (
     ReferenceSequentialSimulator,
     WholeCircuitSequentialSimulator,
-    reference_fault_sim,
 )
 
 
@@ -462,56 +459,6 @@ class TestStructuralCompileCache:
         delta = COMPILE_STATS.delta_since(before)
         assert delta["full_compiles"] == 0
         assert delta["patched_compiles"] == 0
-
-    def test_tie_strip_trial_compiles_by_patching(self, c432_circuit):
-        work = c432_circuit.copy("work")
-        compile_circuit(work)
-        trial = work.copy("trial")
-        tie_net_to_constant(trial, work.internal_nets()[25], 1)
-        stripped = strip_dead_logic(trial)
-        before = COMPILE_STATS.snapshot()
-        compiled = compile_circuit(trial)
-        delta = COMPILE_STATS.delta_since(before)
-        assert delta["patched_compiles"] == 1
-        assert delta["full_compiles"] == 0
-        # Patched form answers for the trial circuit, dead rows included.
-        assert compiled.n_nets >= len(trial)
-
-    def test_patched_compile_is_bit_exact(self, c432_circuit):
-        rng = np.random.default_rng(21)
-        pats = (rng.random((130, len(c432_circuit.inputs))) < 0.5).astype(np.uint8)
-        work = c432_circuit.copy("work")
-        compile_circuit(work)
-        trial = work.copy("trial")
-        tie_net_to_constant(trial, work.internal_nets()[25], 1)
-        strip_dead_logic(trial)
-        patched = compile_circuit(trial)
-        got = BitSimulator(trial).run(pats)
-        # Fresh full compile of the identical structure (new object, cleared
-        # caches) is the ground truth.
-        fresh = CompiledCircuit(trial)
-        baseline = trial.copy("baseline")
-        baseline._compiled_cache = fresh
-        want = BitSimulator(baseline).run(pats)
-        assert (got == want).all()
-        # run_full hides the dead-stripped rows the patched matrix carries.
-        full = BitSimulator(trial).run_full(pats)
-        assert set(full) == set(trial.nets)
-
-    def test_fault_sim_on_patched_compile(self, c432_circuit):
-        work = c432_circuit.copy("work")
-        compile_circuit(work)
-        trial = work.copy("trial")
-        tie_net_to_constant(trial, work.internal_nets()[25], 1)
-        strip_dead_logic(trial)
-        assert compile_circuit(trial).n_nets > len(trial)  # really patched
-        faults = full_fault_list(trial)[::7]
-        rng = np.random.default_rng(3)
-        pats = (rng.random((96, len(trial.inputs))) < 0.5).astype(np.uint8)
-        got = FaultSimulator(trial).run(pats, faults)
-        want = reference_fault_sim(trial, pats, faults, drop_detected=False)
-        assert got.detected == want.detected
-        assert got.undetected == want.undetected
 
     def test_sequential_compile_shared_across_simulators(self):
         circuit, _ = infected_c17(2)
