@@ -8,9 +8,11 @@ this bench runs the same cell grid through a bare ``ProcessPoolExecutor``
 stays under ``MAX_OVERHEAD_PCT`` — a loud CI floor so the fault-tolerance
 substrate can never silently tax every campaign.
 
-Cells are real c432 pipeline runs (~1.5 s each), so the measured delta is
-dominated by supervision mechanics, not process startup jitter; both paths
-fork from a parent with a warm structural compile cache.
+Cells are real c432 pipeline runs (~0.18 s each on a 2-core host), and
+there are enough of them that each path runs ~5 s with 2 workers, so the
+measured delta is dominated by supervision mechanics, not process startup
+or scheduling jitter; both paths fork from a parent with a warm structural
+compile cache.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.api.runner import _campaign_worker
 from conftest import BENCH_PERF_PATH, update_perf_report
 
 
-N_CELLS = 6
+N_CELLS = 56
 JOBS = 2
 
 #: Loud-regression floor: supervised-pool overhead on a clean campaign.

@@ -15,6 +15,11 @@ Measures the side-channel trace subsystem on a c3540-scale *sequential*
   ``tests.oracles.WholeCircuitSequentialSimulator`` on a worst-case
   deep-counter workload (counter clocked from a PI, edges every other
   vector), bit-identity checked in the same run.
+* **suite_shared** — the ``"traces"`` detector suite over the cells of a
+  c432 Pth sweep, the golden-side memo emptied before every cell (cold)
+  against holding the sweep's golden side (shared, as every cell of a
+  sweep after the first finds it); reports must be equal apart from
+  ``wall_s``.
 
 Results merge into ``BENCH_perf.json`` under the ``traces`` section; the
 assertions are deliberately generous floors, not machine-speed pins.
@@ -26,12 +31,14 @@ import time
 
 import numpy as np
 
+from repro.api import ExperimentSpec, execute_experiment
 from repro.bench import c3540_like
 from repro.detect import VariationModel
 from repro.power import tech65_library
 from repro.sim.seqsim import SequentialSimulator
 from repro.traces import GaussianNoise, NoiseChain, Quantization, TraceGenerator
-from repro.traces.lab import TraceLabConfig, trace_population
+from repro.traces import lab
+from repro.traces.lab import TraceLabConfig, trace_detector_suite, trace_population
 from repro.trojan import insert_counter_trojan
 from tests.oracles import WholeCircuitSequentialSimulator
 
@@ -52,6 +59,11 @@ N_CHIPS = 16
 MIN_NET_CYCLES_PER_S = 2e6
 MIN_CHIPS_PER_S = 4.0
 MIN_RIPPLE_SPEEDUP = 1.3
+#: The sweep's cells share one golden side; cold cells each rebuild it.
+MIN_SHARED_SPEEDUP = 2.0
+
+SWEEP_PTHS = (0.9, 0.93, 0.96, 0.99)
+SWEEP_ALTERNATIONS = 3
 
 
 def test_trace_lab_throughput():
@@ -142,4 +154,69 @@ def test_trace_lab_throughput():
     assert ripple_speedup >= MIN_RIPPLE_SPEEDUP, (
         f"split stepping regressed: {ripple_speedup:.2f}x "
         f"< {MIN_RIPPLE_SPEEDUP}x (see {BENCH_PERF_PATH})"
+    )
+
+
+def _sweep_cells():
+    """(golden N, infected N″) of each c432 Pth cell, Phase A shared."""
+    cells = []
+    for pth in SWEEP_PTHS:
+        spec = ExperimentSpec(circuit="c432", pth=pth, design="counter2", seed=1)
+        result = execute_experiment(spec).result
+        assert result.success
+        cells.append((result.thresholds.circuit, result.insertion.infected))
+    return cells
+
+
+def _run_suite(cells, library, cold):
+    """Suite wall time over the sweep, and each cell's report minus ``wall_s``.
+
+    ``cold`` empties the golden-side memo before every cell; otherwise the
+    memo is left as the caller left it.
+    """
+    reports = []
+    start = time.perf_counter()
+    for golden, infected in cells:
+        if cold:
+            lab._clear_golden_sides()
+        report = trace_detector_suite(golden, infected, library, n_chips=30, seed=11)
+        diagnostics = dict(report.trace_diagnostics)
+        diagnostics.pop("wall_s")
+        reports.append((
+            report.golden_rates,
+            report.additive_rates,
+            report.trojanzero_rates,
+            report.additive_overhead_pct,
+            report.trojanzero_overhead_pct,
+            diagnostics,
+        ))
+    return time.perf_counter() - start, reports
+
+
+def test_trace_suite_shared_golden_side():
+    library = tech65_library()
+    cells = _sweep_cells()
+    _run_suite(cells[:1], library, cold=True)  # warm compiled schedules
+    cold_times, shared_times = [], []
+    for _ in range(SWEEP_ALTERNATIONS):
+        t_cold, cold = _run_suite(cells, library, cold=True)
+        # The cold run leaves the sweep's one golden side in the memo.
+        t_shared, shared = _run_suite(cells, library, cold=False)
+        assert shared == cold, "a shared golden side changed a trace report"
+        cold_times.append(t_cold)
+        shared_times.append(t_shared)
+    lab._clear_golden_sides()
+    speedup = min(cold_times) / min(shared_times)
+
+    update_perf_report("traces.suite_shared", {
+        "workload": f"c432 seed 1, counter2, Pth {list(SWEEP_PTHS)}, 30 chips",
+        "cold_s": min(cold_times),
+        "shared_s": min(shared_times),
+        "speedup": speedup,
+        "estimator": f"best of {SWEEP_ALTERNATIONS} alternations",
+    })
+
+    assert speedup >= MIN_SHARED_SPEEDUP, (
+        f"shared golden side regressed: {speedup:.2f}x < {MIN_SHARED_SPEEDUP}x "
+        f"over cold cells (see {BENCH_PERF_PATH})"
     )

@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,31 +59,68 @@ SEED_BESPOKE = 1
 SEED_TRIGGER_MC = 2
 SEED_DETECT = 3
 
+
+class LruMemo:
+    """A bounded per-process memo, least recently used entry evicted first.
+
+    Every access holds one lock, so threads may share a memo.  Callers
+    compute a missing value outside the lock and :meth:`put` it; two threads
+    that miss on one key both compute it, and the later value stays.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+
+    def get(self, key: Hashable) -> Any:
+        """The stored value (now most recently used), or ``None``."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: Hashable, value: Any) -> None:
+        with self._lock:
+            self._entries[key] = value
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+
+    def values(self) -> List[Any]:
+        """The stored values, least recently used first."""
+        with self._lock:
+            return list(self._entries.values())
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
 #: Phase A reports the per-process memo keeps, least recently used evicted
 #: first.  Each entry holds a synthesized circuit and its defender patterns.
 PHASE_A_CAPACITY = 4
 
-_phase_a_lock = threading.Lock()
-_phase_a_memo: "OrderedDict[Hashable, Tuple[ThresholdReport, CellLibrary]]" = OrderedDict()
+#: Phase A memo: key -> (report, library).
+_phase_a_memo = LruMemo(PHASE_A_CAPACITY)
 
 
-def _phase_a_key(
-    circuit: Circuit, library: CellLibrary, defender: DefenderModel
-) -> Hashable:
-    """Everything that can reach a Phase A report.
+def memo_key(circuit: Circuit, library: CellLibrary, *extra: Hashable) -> Hashable:
+    """Key of a memo entry computed from ``circuit``, ``library`` and ``extra``.
 
-    The name reaches the reports; the fingerprint covers the structure and
-    the PI/PO order but sorts gate names, while power sums run in gate-map
-    order, so that order is part of the key too.  The library is keyed by
-    identity: its entry holds a strong reference, so the id is not reused
-    while the entry lives.
+    The name reaches the stored reports; the fingerprint covers the
+    structure and the PI/PO order but sorts gate names, while power sums run
+    in gate-map order, so that order is part of the key too.  The library is
+    keyed by identity: every entry holds a strong reference to it, so the id
+    is not reused while the entry lives.  ``extra`` carries every other
+    input that can reach the stored value.
     """
     return (
         circuit.name,
         circuit.structural_fingerprint(),
         circuit.nets,
-        defender,
         id(library),
+        *extra,
     )
 
 
@@ -96,11 +133,8 @@ def phase_a(
     stored report is never handed out: every caller gets its own circuit copy
     and pattern-set lists, and the stored pattern arrays are read-only.
     """
-    key = _phase_a_key(circuit, library, defender)
-    with _phase_a_lock:
-        entry = _phase_a_memo.get(key)
-        if entry is not None:
-            _phase_a_memo.move_to_end(key)
+    key = memo_key(circuit, library, defender)
+    entry = _phase_a_memo.get(key)
     shared = entry is not None
     if shared:
         report = entry[0]
@@ -109,11 +143,8 @@ def phase_a(
         arrays = (report.test_set.patterns, *report.pattern_sets, *report.bespoke_sets)
         for patterns in arrays:
             patterns.setflags(write=False)
-        entry = (replace(report, circuit=_lean_copy(report.circuit)), library)
-        with _phase_a_lock:
-            _phase_a_memo[key] = entry
-            while len(_phase_a_memo) > PHASE_A_CAPACITY:
-                _phase_a_memo.popitem(last=False)
+        lean = replace(report, circuit=_lean_copy(report.circuit))
+        _phase_a_memo.put(key, (lean, library))
     return (
         replace(
             report,
@@ -142,8 +173,7 @@ def _lean_copy(circuit: Circuit) -> Circuit:
 
 def _clear_phase_a() -> None:
     """Empty the Phase A memo (tests only)."""
-    with _phase_a_lock:
-        _phase_a_memo.clear()
+    _phase_a_memo.clear()
 
 
 @dataclass

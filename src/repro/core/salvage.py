@@ -146,12 +146,6 @@ def salvage(
                 RemovalRecord(net, p_one, -1, False, reason="already stripped")
             )
             continue
-        gate = work.gate(net)
-        if gate.is_constant or gate.is_input:
-            removals.append(
-                RemovalRecord(net, p_one, -1, False, reason="not a logic gate")
-            )
-            continue
         tied_value = 1 if p_one >= 0.5 else 0
 
         row = compiled.index[net]

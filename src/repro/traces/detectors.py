@@ -26,7 +26,7 @@ increase is salvaged to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,17 +37,35 @@ _EPS = 1e-12
 _MIN_GOLDEN = 8
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _moments(traces: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Per-cycle mean, unbiased variance and count of a trace set ``(n, T)``."""
+    traces = np.atleast_2d(np.asarray(traces, dtype=np.float64))
+    if traces.shape[0] < 2:
+        raise ValueError("welch t needs at least 2 traces per set")
+    return traces.mean(axis=0), traces.var(axis=0, ddof=1), traces.shape[0]
+
+
+def _welch_t(
+    mean_a: np.ndarray, var_a: np.ndarray, na: int, b: np.ndarray
+) -> np.ndarray:
+    """Per-cycle Welch t of trace set ``b`` against set *a*'s moments."""
+    mean_b, var_b, nb = _moments(b)
+    denom = np.sqrt(var_a / na + var_b / nb)
+    return (mean_a - mean_b) / np.maximum(denom, _EPS)
+
+
 def welch_t_statistic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-cycle Welch t between two trace sets ``(n_a, T)`` and ``(n_b, T)``."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    na, nb = a.shape[0], b.shape[0]
-    if na < 2 or nb < 2:
-        raise ValueError("welch t needs at least 2 traces per set")
-    var_a = a.var(axis=0, ddof=1)
-    var_b = b.var(axis=0, ddof=1)
-    denom = np.sqrt(var_a / na + var_b / nb)
-    return (a.mean(axis=0) - b.mean(axis=0)) / np.maximum(denom, _EPS)
+    return _welch_t(*_moments(a), b)
+
+
+def _max_abs(t: np.ndarray) -> float:
+    return float(np.max(np.abs(t))) if t.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -68,9 +86,12 @@ def leakage_assessment(
     a: np.ndarray, b: np.ndarray, t_threshold: float = 4.5
 ) -> LeakageAssessment:
     """Assess two trace sets for leakage at the TVLA ``|t| > 4.5`` bar."""
-    t = welch_t_statistic(a, b)
+    return _assess(welch_t_statistic(a, b), t_threshold)
+
+
+def _assess(t: np.ndarray, t_threshold: float) -> LeakageAssessment:
     return LeakageAssessment(
-        max_abs_t=float(np.max(np.abs(t))) if t.size else 0.0,
+        max_abs_t=_max_abs(t),
         n_leaky_cycles=int(np.sum(np.abs(t) > t_threshold)),
         t_threshold=t_threshold,
         n_cycles=int(t.shape[0]),
@@ -124,24 +145,37 @@ class _CalibratedTraceDetector:
     def flags(self, traces: np.ndarray) -> bool:
         return self.statistic(traces) > self._threshold
 
+    def statistics(self, chips: Sequence[np.ndarray]) -> np.ndarray:
+        """The statistic of every chip, in order: score each chip once and
+        derive its flag, the population's rate and its maximum from here."""
+        return np.array([self.statistic(c) for c in chips], dtype=np.float64)
+
     def detection_rate(self, chips: Sequence[np.ndarray]) -> float:
-        return float(np.mean([self.flags(c) for c in chips]))
+        return float(np.mean(self.statistics(chips) > self._threshold))
 
 
 @dataclass
 class TvlaTraceDetector(_CalibratedTraceDetector):
-    """Welch t-test / TVLA leakage assessment against a pooled golden set."""
+    """Welch t-test / TVLA leakage assessment against a pooled golden set.
+
+    Calibration keeps only the pool's per-cycle moments, so scoring a device
+    costs the moments of its own trace set.
+    """
 
     #: TVLA's conventional leakage bar; the calibrated quantile can only
     #: raise the alarm threshold above it, never below.
     t_threshold: float = 4.5
-    _pooled: Optional[np.ndarray] = field(default=None, repr=False)
+    _golden_mean: Optional[np.ndarray] = field(default=None, repr=False)
+    _golden_var: Optional[np.ndarray] = field(default=None, repr=False)
+    _golden_n: int = field(default=0, repr=False)
 
     def _floor_threshold(self) -> float:
         return self.t_threshold
 
     def _fit(self, golden: Sequence[np.ndarray]) -> None:
-        self._pooled = np.concatenate([np.atleast_2d(g) for g in golden], axis=0)
+        mean, var, n = _moments(np.concatenate([np.atleast_2d(g) for g in golden], axis=0))
+        self._golden_mean, self._golden_var = _read_only(mean), _read_only(var)
+        self._golden_n = n
 
     def _golden_statistics(self, golden: Sequence[np.ndarray]) -> List[float]:
         # Leave-one-out: score each golden chip against the pool of the
@@ -151,21 +185,20 @@ class TvlaTraceDetector(_CalibratedTraceDetector):
             others = np.concatenate(
                 [np.atleast_2d(g) for j, g in enumerate(golden) if j != i], axis=0
             )
-            t = welch_t_statistic(others, chip)
-            stats.append(float(np.max(np.abs(t))) if t.size else 0.0)
+            stats.append(_max_abs(welch_t_statistic(others, chip)))
         return stats
 
-    def statistic(self, traces: np.ndarray) -> float:
+    def _t(self, traces: np.ndarray) -> np.ndarray:
         if not self._calibrated:
             raise RuntimeError("calibrate() first")
-        t = welch_t_statistic(self._pooled, traces)
-        return float(np.max(np.abs(t))) if t.size else 0.0
+        return _welch_t(self._golden_mean, self._golden_var, self._golden_n, traces)
+
+    def statistic(self, traces: np.ndarray) -> float:
+        return _max_abs(self._t(traces))
 
     def assessment(self, traces: np.ndarray) -> LeakageAssessment:
         """Full TVLA summary of one device against the golden pool."""
-        if not self._calibrated:
-            raise RuntimeError("calibrate() first")
-        return leakage_assessment(self._pooled, traces, self.t_threshold)
+        return _assess(self._t(traces), self.t_threshold)
 
 
 @dataclass
@@ -210,12 +243,12 @@ class _KeyedResidualDetector(_CalibratedTraceDetector):
     def _fit(self, golden: Sequence[np.ndarray]) -> None:
         if self.activity is None:
             raise ValueError("activity hypotheses required before calibration")
-        self.activity = np.atleast_2d(np.asarray(self.activity, dtype=np.float64))
+        self.activity = _read_only(np.array(self.activity, dtype=np.float64, ndmin=2))
         pooled = np.concatenate([np.atleast_2d(g) for g in golden], axis=0)
-        self._golden_mean = pooled.mean(axis=0)
+        self._golden_mean = _read_only(pooled.mean(axis=0))
         raw = np.stack([self._scores(self._residual(g)) for g in golden])
-        self._score_mean = raw.mean(axis=0)
-        self._score_std = np.maximum(raw.std(axis=0, ddof=1), _EPS)
+        self._score_mean = _read_only(raw.mean(axis=0))
+        self._score_std = _read_only(np.maximum(raw.std(axis=0, ddof=1), _EPS))
 
     def _golden_statistics(self, golden: Sequence[np.ndarray]) -> List[float]:
         return [self.statistic(g) for g in golden]
@@ -224,8 +257,7 @@ class _KeyedResidualDetector(_CalibratedTraceDetector):
         if self._golden_mean is None:
             raise RuntimeError("calibrate() first")
         scores = self._scores(self._residual(traces))
-        z = (scores - self._score_mean) / self._score_std
-        return float(np.max(np.abs(z))) if z.size else 0.0
+        return _max_abs((scores - self._score_mean) / self._score_std)
 
 
 @dataclass

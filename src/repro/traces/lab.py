@@ -22,6 +22,23 @@ cycles each candidate would fire.  The keyed detectors
 residual energy against those per-cycle predictions — the question the
 aggregate detectors cannot ask.
 
+What depends on Pth
+-------------------
+Only the TrojanZero-infected netlist N″ does: its toggle tensor, its chip
+population (its own sub-seed), its scores, its power and its diagnostics.
+Everything else — the stimuli, the ADC scale and sensor chain, the golden
+reference mean, the calibration, golden and additive populations, the
+defender's hypotheses, the calibrated detectors, their golden and additive
+scores, and the golden and additive power — depends only on N, the library,
+``additive_gates``, ``n_chips``, the detector seed and the
+:class:`TraceLabConfig`.  That golden side is memoized per process
+(:data:`GOLDEN_SIDE_CAPACITY` entries, keyed like the Phase A memo of
+:mod:`repro.core.pipeline` plus those inputs), with read-only arrays and no
+population or toggle tensor kept, so the cells of a Pth sweep compute it
+once.  Each detector scores each chip once
+(:meth:`~repro.traces.detectors._CalibratedTraceDetector.statistics`); a
+population's rate and maximum come from that one array.
+
 Determinism: every draw derives from the experiment seed through
 :func:`repro.core.pipeline.derive_seed`, with fixed sub-seed indices per
 population, so serial and multi-worker campaign runs produce bit-identical
@@ -36,7 +53,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.pipeline import derive_seed
+from ..core.pipeline import LruMemo, derive_seed, memo_key
 from ..detect.evaluate import EvasionReport
 from ..detect.variation import VariationModel
 from ..netlist.circuit import Circuit
@@ -45,7 +62,12 @@ from ..power.library import CellLibrary
 from ..prob.propagate import signal_probabilities
 from ..sim.seqsim import SequentialSimulator
 from ..trojan.combinational import insert_additive_burden
-from .detectors import CorrTraceDetector, DomTraceDetector, TvlaTraceDetector
+from .detectors import (
+    CorrTraceDetector,
+    DomTraceDetector,
+    TvlaTraceDetector,
+    _CalibratedTraceDetector,
+)
 from .generator import TraceGenerator
 from .noise import GaussianNoise, Jitter, NoiseChain, NoiseModel, Quantization
 
@@ -210,66 +232,129 @@ class TraceEvasionReport(EvasionReport):
         self.trace_diagnostics: Dict[str, Any] = trace_diagnostics or {}
 
 
-def trace_evasion_experiment(
-    golden_circuit: Circuit,
-    trojanzero_circuit: Circuit,
-    library: CellLibrary,
-    additive_gates: int = 16,
-    n_chips: int = 12,
-    seed: int = 37,
-    config: Optional[TraceLabConfig] = None,
-) -> TraceEvasionReport:
-    """The trace-lab evasion experiment, in the aggregate suites' schema.
+#: Golden sides the per-process memo keeps, least recently used evicted
+#: first.  An entry holds stimuli, calibrated detectors and scalars: 0.15 MB
+#: of arrays on c432.
+GOLDEN_SIDE_CAPACITY = 4
 
-    Calibrates the TVLA / difference-of-means / correlation trace detectors
-    on one golden population, then scores fresh golden, additive-HT, and
-    TrojanZero-infected populations measured under identical stimuli and
-    noise.  Registered as the ``"traces"`` detector suite.
+#: Golden-side memo: key -> :class:`_GoldenSide`.
+_golden_memo = LruMemo(GOLDEN_SIDE_CAPACITY)
+
+#: ``(detection rate, max statistic)`` of one population per detector name.
+Scores = Dict[str, Tuple[float, float]]
+
+
+@dataclass(frozen=True, eq=False)
+class _GoldenSide:
+    """Everything of one trace experiment that N″ cannot reach.
+
+    Arrays are read-only (the calibrated detectors' too); populations and
+    toggle tensors are not kept.
     """
-    config = config or TraceLabConfig()
-    t0 = time.perf_counter()
+
+    library: CellLibrary
+    stimuli: np.ndarray
+    noise: NoiseChain
+    ref_mean: float
+    detectors: Dict[str, _CalibratedTraceDetector]
+    golden_scores: Scores
+    additive_scores: Scores
+    hypothesis_nets: Tuple[str, ...]
+    nets_watched: Dict[str, int]
+    mean_cycle_energy_fj: Dict[str, float]
+    golden_total_uw: float
+    additive_total_uw: float
+
+
+def _population(
+    generator: TraceGenerator,
+    toggles: np.ndarray,
+    n_chips: int,
+    config: TraceLabConfig,
+    noise: NoiseModel,
+    ref_mean: float,
+    seed: int,
+) -> List[np.ndarray]:
+    """One seeded population, gain-normalized to ``ref_mean`` if configured."""
+    rng = np.random.default_rng(seed)
+    chips = trace_population(generator, toggles, n_chips, config, noise, rng)
+    if config.normalize_gain:
+        chips = [chip * (ref_mean / max(float(chip.mean()), 1e-12)) for chip in chips]
+    return chips
+
+
+def _score(
+    detectors: Dict[str, _CalibratedTraceDetector], chips: Sequence[np.ndarray]
+) -> Scores:
+    scores = {}
+    for name, detector in detectors.items():
+        stats = detector.statistics(chips)
+        scores[name] = (float(np.mean(stats > detector.threshold)), float(stats.max()))
+    return scores
+
+
+def _golden_side(
+    golden_circuit: Circuit,
+    library: CellLibrary,
+    additive_gates: int,
+    n_chips: int,
+    seed: int,
+    config: TraceLabConfig,
+) -> _GoldenSide:
+    """The golden side of one trace experiment, through the per-process memo."""
+    key = memo_key(golden_circuit, library, additive_gates, n_chips, seed, config)
+    side = _golden_memo.get(key)
+    if side is None:
+        side = _compute_golden_side(
+            golden_circuit, library, additive_gates, n_chips, seed, config
+        )
+        _golden_memo.put(key, side)
+    return side
+
+
+def _compute_golden_side(
+    golden_circuit: Circuit,
+    library: CellLibrary,
+    additive_gates: int,
+    n_chips: int,
+    seed: int,
+    config: TraceLabConfig,
+) -> _GoldenSide:
     stimuli_rng = np.random.default_rng(derive_seed(seed, _SEED_STIMULI))
     sequences = random_stimuli(golden_circuit, config, stimuli_rng)
+    sequences.setflags(write=False)
 
     additive_circuit = golden_circuit.copy(f"{golden_circuit.name}_additive")
     insert_additive_burden(additive_circuit, additive_gates)
 
-    circuits = {
-        "golden": golden_circuit,
-        "additive": additive_circuit,
-        "trojanzero": trojanzero_circuit,
-    }
-    generators = {k: TraceGenerator(c, library) for k, c in circuits.items()}
-    toggle_tensors = {k: g.toggles(sequences) for k, g in generators.items()}
+    golden_gen = TraceGenerator(golden_circuit, library)
+    additive_gen = TraceGenerator(additive_circuit, library)
+    golden_toggles = golden_gen.toggles(sequences)
+    additive_toggles = additive_gen.toggles(sequences)
 
     # One fixed ADC scale for every population: digitize additive/infected
     # chips exactly like golden ones (headroom for overheads + variation).
-    nominal = generators["golden"].traces_from_toggles(toggle_tensors["golden"])
+    nominal = golden_gen.traces_from_toggles(golden_toggles)
     full_scale = 1.5 * float(nominal.max()) if nominal.size else 1.0
     noise = config.noise_chain(full_scale)
-
     ref_mean = float(nominal.mean()) if nominal.size else 1.0
 
-    def population(kind: str, seed_index: int) -> List[np.ndarray]:
-        rng = np.random.default_rng(derive_seed(seed, seed_index))
-        chips = trace_population(
-            generators[kind], toggle_tensors[kind], n_chips, config, noise, rng
+    def population(
+        generator: TraceGenerator, toggles: np.ndarray, seed_index: int
+    ) -> List[np.ndarray]:
+        return _population(
+            generator, toggles, n_chips, config, noise, ref_mean,
+            derive_seed(seed, seed_index),
         )
-        if config.normalize_gain:
-            chips = [
-                chip * (ref_mean / max(float(chip.mean()), 1e-12)) for chip in chips
-            ]
-        return chips
 
-    calibration = population("golden", _SEED_CALIBRATION)
-    golden_chips = population("golden", _SEED_GOLDEN)
-    additive_chips = population("additive", _SEED_ADDITIVE)
-    tz_chips = population("trojanzero", _SEED_TROJANZERO)
+    calibration = population(golden_gen, golden_toggles, _SEED_CALIBRATION)
+    golden_chips = population(golden_gen, golden_toggles, _SEED_GOLDEN)
+    additive_chips = population(additive_gen, additive_toggles, _SEED_ADDITIVE)
 
     hypothesis_nets, activity = defender_hypotheses(
         golden_circuit, sequences, config.n_hypotheses
     )
-    detectors = {
+    detectors: Dict[str, _CalibratedTraceDetector] = {
         "tvla": TvlaTraceDetector(
             t_threshold=config.t_threshold,
             calibration_quantile=config.calibration_quantile,
@@ -285,20 +370,66 @@ def trace_evasion_experiment(
     for detector in detectors.values():
         detector.calibrate(calibration)
 
-    def rates(chips: Sequence[np.ndarray]) -> Dict[str, float]:
-        return {name: d.detection_rate(chips) for name, d in detectors.items()}
+    return _GoldenSide(
+        library=library,
+        stimuli=sequences,
+        noise=noise,
+        ref_mean=ref_mean,
+        detectors=detectors,
+        golden_scores=_score(detectors, golden_chips),
+        additive_scores=_score(detectors, additive_chips),
+        hypothesis_nets=tuple(hypothesis_nets),
+        nets_watched={"golden": len(golden_gen.nets), "additive": len(additive_gen.nets)},
+        mean_cycle_energy_fj={
+            "golden": float(nominal.mean()),
+            "additive": float(additive_gen.traces_from_toggles(additive_toggles).mean()),
+        },
+        golden_total_uw=analyze(golden_circuit, library).total_uw,
+        additive_total_uw=analyze(additive_circuit, library).total_uw,
+    )
 
-    def max_statistic(chips: Sequence[np.ndarray]) -> Dict[str, float]:
-        return {
-            name: float(max(d.statistic(c) for c in chips))
-            for name, d in detectors.items()
-        }
 
-    golden_report = analyze(golden_circuit, library)
-    additive_report = analyze(additive_circuit, library)
-    tz_report = analyze(trojanzero_circuit, library)
-    base_total = golden_report.total_uw
+def _clear_golden_sides() -> None:
+    """Empty the golden-side memo (tests only)."""
+    _golden_memo.clear()
 
+
+def trace_evasion_experiment(
+    golden_circuit: Circuit,
+    trojanzero_circuit: Circuit,
+    library: CellLibrary,
+    additive_gates: int = 16,
+    n_chips: int = 12,
+    seed: int = 37,
+    config: Optional[TraceLabConfig] = None,
+) -> TraceEvasionReport:
+    """The trace-lab evasion experiment, in the aggregate suites' schema.
+
+    Calibrates the TVLA / difference-of-means / correlation trace detectors
+    on one golden population, then scores fresh golden, additive-HT, and
+    TrojanZero-infected populations measured under identical stimuli and
+    noise.  Registered as the ``"traces"`` detector suite.  The golden side
+    comes from the per-process memo; this call measures and scores N″ only.
+    """
+    config = config or TraceLabConfig()
+    t0 = time.perf_counter()
+    side = _golden_side(golden_circuit, library, additive_gates, n_chips, seed, config)
+
+    generator = TraceGenerator(trojanzero_circuit, library)
+    toggles = generator.toggles(side.stimuli)
+    tz_chips = _population(
+        generator, toggles, n_chips, config, side.noise, side.ref_mean,
+        derive_seed(seed, _SEED_TROJANZERO),
+    )
+    tz_scores = _score(side.detectors, tz_chips)
+    tz_total = analyze(trojanzero_circuit, library).total_uw
+    base_total = side.golden_total_uw
+
+    populations = {
+        "golden": side.golden_scores,
+        "additive": side.additive_scores,
+        "trojanzero": tz_scores,
+    }
     diagnostics: Dict[str, Any] = {
         "config": {
             "n_sequences": config.n_sequences,
@@ -310,30 +441,29 @@ def trace_evasion_experiment(
             "jitter_cycles": config.jitter_cycles,
             "variation_dynamic_sigma": config.variation.dynamic_sigma,
         },
-        "nets_watched": {k: len(g.nets) for k, g in generators.items()},
+        "nets_watched": {**side.nets_watched, "trojanzero": len(generator.nets)},
         "mean_cycle_energy_fj": {
-            k: (
-                float(nominal.mean())
-                if k == "golden"  # already computed for the ADC scale
-                else float(generators[k].traces_from_toggles(toggle_tensors[k]).mean())
-            )
-            for k in circuits
+            **side.mean_cycle_energy_fj,
+            "trojanzero": float(generator.traces_from_toggles(toggles).mean()),
         },
-        "hypothesis_nets": hypothesis_nets,
-        "thresholds": {name: d.threshold for name, d in detectors.items()},
+        "hypothesis_nets": list(side.hypothesis_nets),
+        "thresholds": {name: d.threshold for name, d in side.detectors.items()},
         "max_statistic": {
-            "golden": max_statistic(golden_chips),
-            "additive": max_statistic(additive_chips),
-            "trojanzero": max_statistic(tz_chips),
+            kind: {name: peak for name, (_rate, peak) in scores.items()}
+            for kind, scores in populations.items()
         },
         "wall_s": round(time.perf_counter() - t0, 6),
     }
+    rates = {
+        kind: {name: rate for name, (rate, _peak) in scores.items()}
+        for kind, scores in populations.items()
+    }
     return TraceEvasionReport(
-        golden_rates=rates(golden_chips),
-        additive_rates=rates(additive_chips),
-        trojanzero_rates=rates(tz_chips),
-        additive_overhead_pct=100.0 * (additive_report.total_uw - base_total) / base_total,
-        trojanzero_overhead_pct=100.0 * (tz_report.total_uw - base_total) / base_total,
+        golden_rates=rates["golden"],
+        additive_rates=rates["additive"],
+        trojanzero_rates=rates["trojanzero"],
+        additive_overhead_pct=100.0 * (side.additive_total_uw - base_total) / base_total,
+        trojanzero_overhead_pct=100.0 * (tz_total - base_total) / base_total,
         trace_diagnostics=diagnostics,
     )
 

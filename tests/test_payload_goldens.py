@@ -7,8 +7,10 @@ cells is run and the sha256 of its sorted-key ``payload_dict()`` JSON is
 compared with the digest checked in next to this file.  The extras are c432
 at its Table I point (Pth 0.975, a 2-bit counter), where the trigger fires in
 the Monte-Carlo (``pft_monte_carlo`` = 0.125 on both seeds) and one cell runs
-the ``traces`` detector, and a c880 seed-0 cell whose netlist Phase A cleanup
-shrinks substantially.
+the ``traces`` detector, a second seed-1 ``traces`` cell at Pth 0.95, which
+shares the first one's trace-lab golden side while the memo of
+:mod:`repro.traces.lab` still holds it, and a c880 seed-0 cell whose netlist
+Phase A cleanup shrinks substantially.
 
 Cells that repeat a (circuit, seed) share one Phase A through the per-process
 memo of :func:`repro.core.pipeline.phase_a` (every ``paper`` cell, and the
@@ -45,6 +47,7 @@ EXTRA_CELLS = (
     ("c432", 0, None, C432_TABLE1),
     ("c432", 1, None, C432_TABLE1),
     ("c432", 1, "traces", C432_TABLE1),
+    ("c432", 1, "traces", {"pth": 0.95, "design": "counter2"}),
     ("c880", 0, None, {}),
 )
 DEFAULTS = ExperimentSpec(circuit="c17")
