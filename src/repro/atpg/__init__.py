@@ -1,6 +1,6 @@
 """Defender-side test generation: stuck-at faults, PODEM, fault simulation."""
 
-from .dcalc import X, d_symbol, evaluate3
+from .dcalc import X
 from .fault import StuckAtFault, collapse_faults, full_fault_list
 from .faultsim import FaultSimResult, FaultSimulator, fault_coverage
 from .generate import AtpgConfig, TestSet, generate_test_set, uncovered_faults
@@ -19,8 +19,6 @@ __all__ = [
     "full_fault_list",
     "collapse_faults",
     "X",
-    "evaluate3",
-    "d_symbol",
     "PodemEngine",
     "PodemResult",
     "PodemStatus",

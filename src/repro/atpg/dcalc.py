@@ -1,16 +1,21 @@
-"""Three-valued logic kernel for the D-calculus.
+"""Three-valued logic for the D-calculus, resolved per gate type.
 
 PODEM tracks two parallel planes — the *good* circuit and the *faulty*
 circuit — each in three-valued logic {0, 1, X}.  The classic five D-calculus
 symbols fall out of the pair: D = (good 1, faulty 0), D̄ = (0, 1), and 0/1/X
 when the planes agree.
 
-Values are plain ints: 0, 1, and :data:`X` (= 2).
+Values are plain ints: 0, 1, and :data:`X` (= 2), so the values of a gate's
+``k`` inputs, read as a base-3 number, index its :func:`truth_table` of
+``3**k`` outputs.  PODEM evaluates 1- and 2-input gates through those tables
+and wider gates through the per-type :data:`EVALUATE` functions, both looked
+up once per net when the engine is built.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+import itertools
+from typing import Callable, Dict, Sequence, Tuple
 
 from ..netlist.gate import GateType
 
@@ -18,79 +23,62 @@ from ..netlist.gate import GateType
 X = 2
 
 
-def v_and(values: Sequence[int]) -> int:
-    """3-valued AND: 0 dominates, then X, else 1."""
-    saw_x = False
-    for v in values:
-        if v == 0:
-            return 0
-        if v == X:
-            saw_x = True
-    return X if saw_x else 1
+def _controlled(ctrl: int, inverts: int) -> Callable[[Sequence[int]], int]:
+    """AND/NAND/OR/NOR: a controlling input decides, then X, else the free value."""
+    out_ctrl, out_free = ctrl ^ inverts, (1 - ctrl) ^ inverts
 
-
-def v_or(values: Sequence[int]) -> int:
-    """3-valued OR: 1 dominates, then X, else 0."""
-    saw_x = False
-    for v in values:
-        if v == 1:
-            return 1
-        if v == X:
-            saw_x = True
-    return X if saw_x else 0
-
-
-def v_xor(values: Sequence[int]) -> int:
-    """3-valued XOR: any X poisons the parity."""
-    acc = 0
-    for v in values:
-        if v == X:
+    def evaluate(values: Sequence[int]) -> int:
+        if ctrl in values:
+            return out_ctrl
+        if X in values:
             return X
-        acc ^= v
-    return acc
+        return out_free
+
+    return evaluate
 
 
-def v_not(value: int) -> int:
-    if value == X:
-        return X
-    return 1 - value
+def _parity(inverts: int) -> Callable[[Sequence[int]], int]:
+    """XOR/XNOR (and BUFF/NOT as their 1-input case): any X poisons the parity."""
+
+    def evaluate(values: Sequence[int]) -> int:
+        if X in values:
+            return X
+        return (sum(values) & 1) ^ inverts
+
+    return evaluate
 
 
-def v_mux(d0: int, d1: int, sel: int) -> int:
-    if sel == 0:
-        return d0
-    if sel == 1:
-        return d1
-    if d0 == d1 and d0 != X:
-        return d0
-    return X
+def _mux(values: Sequence[int]) -> int:
+    d0, d1, sel = values
+    if sel == X:
+        return d0 if d0 == d1 else X  # agreeing known branches still decide
+    return d1 if sel else d0
 
 
-def evaluate3(gate_type: GateType, inputs: Sequence[int]) -> int:
-    """3-valued evaluation of any combinational gate type."""
-    if gate_type is GateType.AND:
-        return v_and(inputs)
-    if gate_type is GateType.NAND:
-        return v_not(v_and(inputs))
-    if gate_type is GateType.OR:
-        return v_or(inputs)
-    if gate_type is GateType.NOR:
-        return v_not(v_or(inputs))
-    if gate_type is GateType.XOR:
-        return v_xor(inputs)
-    if gate_type is GateType.XNOR:
-        return v_not(v_xor(inputs))
-    if gate_type is GateType.NOT:
-        return v_not(inputs[0])
-    if gate_type is GateType.BUFF:
-        return inputs[0]
-    if gate_type is GateType.MUX:
-        return v_mux(inputs[0], inputs[1], inputs[2])
-    if gate_type is GateType.TIE0:
-        return 0
-    if gate_type is GateType.TIE1:
-        return 1
-    raise ValueError(f"cannot evaluate {gate_type} in 3-valued logic")
+#: 3-valued evaluation per combinational gate type, over any input count.
+EVALUATE: Dict[GateType, Callable[[Sequence[int]], int]] = {
+    GateType.AND: _controlled(0, 0),
+    GateType.NAND: _controlled(0, 1),
+    GateType.OR: _controlled(1, 0),
+    GateType.NOR: _controlled(1, 1),
+    GateType.XOR: _parity(0),
+    GateType.XNOR: _parity(1),
+    GateType.NOT: _parity(1),
+    GateType.BUFF: _parity(0),
+    GateType.MUX: _mux,
+    GateType.TIE0: lambda values: 0,
+    GateType.TIE1: lambda values: 1,
+}
+
+
+def truth_table(gate_type: GateType, arity: int) -> Tuple[int, ...]:
+    """Outputs of a ``gate_type`` gate with ``arity`` inputs for every input
+    combination, indexed by the input values read as a base-3 number (first
+    input most significant): ``table[a * 3 + b]`` for two inputs."""
+    evaluate = EVALUATE[gate_type]
+    return tuple(
+        evaluate(values) for values in itertools.product((0, 1, X), repeat=arity)
+    )
 
 
 #: Controlling input value per gate family (None when no single value controls).
@@ -112,12 +100,3 @@ INVERTS: Dict[GateType, bool] = {
     GateType.NOT: True,
     GateType.BUFF: False,
 }
-
-
-def d_symbol(good: int, faulty: int) -> str:
-    """Render a (good, faulty) pair as the classic five-valued symbol."""
-    if good == X or faulty == X:
-        return "X"
-    if good == faulty:
-        return str(good)
-    return "D" if good == 1 else "D'"

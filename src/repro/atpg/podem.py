@@ -8,9 +8,14 @@ the paper's flow).  The implementation is a textbook PODEM:
   the fault site.  It is event-driven: the planes persist across decisions
   of one fault, the PIs that changed since the previous call (decisions,
   flips and undone decisions alike) are re-applied, and only readers of nets
-  whose value changed are re-evaluated, in topological order.  Three-valued
-  simulation is a pure function of the assignment, so the planes equal a
-  full re-simulation at every step;
+  whose value changed are re-evaluated, in topological order.  The faulty
+  plane is evaluated only inside the site's fanout cone; every other net
+  copies its good value, which is all a fault-free net can hold.  1- and
+  2-input gates evaluate by truth-table lookup and wider ones through one
+  per-type function, both resolved per net when the engine is built.
+  Three-valued simulation is a pure function of the assignment, so the
+  planes equal a full re-simulation at every step (``tests/oracles.py``
+  keeps that re-simulating engine as the oracle);
 * *objective*: excite the fault if unexcited, otherwise advance a gate on the
   D-frontier by setting one of its X inputs to the non-controlling value;
 * *backtrace*: map the objective to a single PI assignment through an X-path;
@@ -27,12 +32,32 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..netlist.circuit import Circuit, NetlistError
 from ..netlist.gate import GateType
-from .dcalc import CONTROLLING_VALUE, INVERTS, X, evaluate3
+from .dcalc import CONTROLLING_VALUE, EVALUATE, INVERTS, X, truth_table
 from .fault import StuckAtFault
+
+#: A net's evaluator: a truth table (at most two inputs) or a per-type function.
+Evaluator = Union[Tuple[int, ...], Callable[[Sequence[int]], int]]
+
+# How _backtrace steps through a net, resolved per net when the engine is built.
+_PI, _CONST, _INVERT, _BUFFER, _SELECT, _PARITY, _CONTROL = range(7)
+_BACKTRACE_KIND: Dict[GateType, int] = {
+    GateType.INPUT: _PI,
+    GateType.TIE0: _CONST,
+    GateType.TIE1: _CONST,
+    GateType.NOT: _INVERT,
+    GateType.BUFF: _BUFFER,
+    GateType.MUX: _SELECT,
+    GateType.XOR: _PARITY,
+    GateType.XNOR: _PARITY,
+    GateType.AND: _CONTROL,
+    GateType.NAND: _CONTROL,
+    GateType.OR: _CONTROL,
+    GateType.NOR: _CONTROL,
+}
 
 
 class PodemStatus(enum.Enum):
@@ -74,10 +99,26 @@ class PodemEngine:
         self._order: List[str] = order
         self._pos: Dict[str, int] = pos
         self._level: List[int] = [levels[net] for net in order]
-        self._type: List[GateType] = [circuit.gate(net).gate_type for net in order]
+        types = [circuit.gate(net).gate_type for net in order]
         self._fanin: List[Tuple[int, ...]] = [
             tuple(pos[src] for src in circuit.gate(net).inputs) for net in order
         ]
+        # Per-net dispatch, so no gate-type test runs per evaluation or step.
+        tables: Dict[Tuple[GateType, int], Tuple[int, ...]] = {}
+        self._eval: List[Optional[Evaluator]] = []
+        for gt, ins in zip(types, self._fanin):
+            if gt is GateType.INPUT:
+                self._eval.append(None)
+            elif len(ins) <= 2:
+                key = (gt, len(ins))
+                if key not in tables:
+                    tables[key] = truth_table(gt, len(ins))
+                self._eval.append(tables[key])
+            else:
+                self._eval.append(EVALUATE[gt])
+        self._kind: List[int] = [_BACKTRACE_KIND[gt] for gt in types]
+        self._ctrl: List[Optional[int]] = [CONTROLLING_VALUE.get(gt) for gt in types]
+        self._inverts: List[int] = [int(INVERTS.get(gt, False)) for gt in types]
         self._fanout: List[Tuple[int, ...]] = [
             tuple(sorted({pos[reader] for reader in circuit.fanout(net)}))
             for net in order
@@ -88,11 +129,17 @@ class PodemEngine:
             self._is_output[row] = True
         # Both planes with every PI at X (constants still propagate).
         self._unassigned: List[int] = [X] * len(order)
-        for row, gt in enumerate(self._type):
-            if gt is not GateType.INPUT:
-                self._unassigned[row] = evaluate3(
-                    gt, [self._unassigned[src] for src in self._fanin[row]]
-                )
+        for row, evaluate in enumerate(self._eval):
+            if evaluate is None:
+                continue
+            values = [self._unassigned[src] for src in self._fanin[row]]
+            if isinstance(evaluate, tuple):
+                index = 0
+                for value in values:
+                    index = index * 3 + value
+                self._unassigned[row] = evaluate[index]
+            else:
+                self._unassigned[row] = evaluate(values)
         # Per-generate() implication state (see _reset / _imply).
         self._good: List[int] = []
         self._faulty: List[int] = []
@@ -100,6 +147,7 @@ class PodemEngine:
         self._site = -1
         self._stuck = X
         self._cone: List[int] = []
+        self._in_cone: List[bool] = []
 
     # ------------------------------------------------------------------
     def generate(self, fault: StuckAtFault) -> PodemResult:
@@ -174,6 +222,9 @@ class PodemEngine:
                     stack.append(reader)
         seen.discard(site)
         self._cone = sorted(seen)
+        self._in_cone = in_cone = [False] * len(self._order)
+        for row in self._cone:
+            in_cone[row] = True
         self._faulty[site] = fault.value  # the net is stuck, unconditionally
         if fault.value != self._unassigned[site]:
             self._propagate(list(fanout[site]))
@@ -210,21 +261,34 @@ class PodemEngine:
 
     def _propagate(self, events: List[int]) -> None:
         """Re-evaluate ``events`` and, transitively, readers of changed nets,
-        in topological order."""
+        in topological order.
+
+        Outside the site's fanout cone the faulty plane equals the good one,
+        so only cone nets evaluate it; the site itself stays stuck.
+        """
         good, faulty = self._good, self._faulty
-        types, fanin, fanout = self._type, self._fanin, self._fanout
-        site, stuck = self._site, self._stuck
+        evaluators, fanin, fanout = self._eval, self._fanin, self._fanout
+        in_cone, site, stuck = self._in_cone, self._site, self._stuck
         queued = set(events)
         heap = list(queued)
         heapq.heapify(heap)
         while heap:
             row = heapq.heappop(heap)
-            gt, ins = types[row], fanin[row]
-            g_val = evaluate3(gt, [good[i] for i in ins])
+            ins, evaluate = fanin[row], evaluators[row]
+            arity = len(ins)
+            if arity == 2:
+                a, b = ins
+                g_val = evaluate[good[a] * 3 + good[b]]
+                f_val = evaluate[faulty[a] * 3 + faulty[b]] if in_cone[row] else g_val
+            elif arity == 1:
+                a = ins[0]
+                g_val = evaluate[good[a]]
+                f_val = evaluate[faulty[a]] if in_cone[row] else g_val
+            else:
+                g_val = evaluate([good[i] for i in ins])
+                f_val = evaluate([faulty[i] for i in ins]) if in_cone[row] else g_val
             if row == site:
                 f_val = stuck
-            else:
-                f_val = evaluate3(gt, [faulty[i] for i in ins])
             if g_val != good[row] or f_val != faulty[row]:
                 good[row], faulty[row] = g_val, f_val
                 for reader in fanout[row]:
@@ -263,7 +327,7 @@ class PodemEngine:
         # depth ≈ largest level is a decent proxy for "closest to PO").
         frontier.sort(key=lambda row: -self._level[row])
         gate = frontier[0]
-        ctrl = CONTROLLING_VALUE.get(self._type[gate])
+        ctrl = self._ctrl[gate]
         target = 1 - ctrl if ctrl is not None else 1
         for src in self._fanin[gate]:
             if good[src] == X or faulty[src] == X:
@@ -317,27 +381,28 @@ class PodemEngine:
     ) -> Optional[Tuple[str, int]]:
         """Walk the objective back to an unassigned PI through X-valued nets."""
         row, value = objective
+        kinds, fanin, level = self._kind, self._fanin, self._level
         guard = 0
         max_steps = len(self._order) + 8
         while True:
             guard += 1
             if guard > max_steps:
                 return None
-            gt, ins = self._type[row], self._fanin[row]
-            if gt is GateType.INPUT:
+            kind, ins = kinds[row], fanin[row]
+            if kind == _PI:
                 net = self._order[row]
                 if net in assignment:
                     return None  # objective asks to re-drive a decided PI
                 return (net, value)
-            if gt in (GateType.TIE0, GateType.TIE1):
+            if kind == _CONST:
                 return None  # constants cannot be justified
-            if gt in (GateType.NOT,):
+            if kind == _INVERT:
                 row, value = ins[0], 1 - value
                 continue
-            if gt is GateType.BUFF:
+            if kind == _BUFFER:
                 row = ins[0]
                 continue
-            if gt is GateType.MUX:
+            if kind == _SELECT:
                 d0, d1, sel = ins
                 if good[sel] == 0:
                     row = d0
@@ -348,8 +413,8 @@ class PodemEngine:
                     # already compatible if visible, else branch 0.
                     row, value = sel, 0
                 continue
-            if gt in (GateType.XOR, GateType.XNOR):
-                parity = 1 if gt is GateType.XNOR else 0
+            if kind == _PARITY:
+                parity = self._inverts[row]
                 unknown = None
                 for src in ins:
                     if good[src] == X:
@@ -362,18 +427,17 @@ class PodemEngine:
                 row, value = unknown, value ^ parity
                 continue
             # AND/NAND/OR/NOR
-            ctrl = CONTROLLING_VALUE[gt]
-            inverts = INVERTS[gt]
-            needed = (1 - value) if inverts else value
+            ctrl = self._ctrl[row]
+            needed = value ^ self._inverts[row]
             x_inputs = [s for s in ins if good[s] == X]
             if not x_inputs:
                 return None
             if needed == ctrl:
                 # One controlling input suffices: take the easiest (lowest level).
-                row, value = min(x_inputs, key=self._level.__getitem__), ctrl
+                row, value = min(x_inputs, key=level.__getitem__), ctrl
             else:
                 # All inputs must be non-controlling: justify the hardest first.
-                row, value = max(x_inputs, key=self._level.__getitem__), 1 - ctrl
+                row, value = max(x_inputs, key=level.__getitem__), 1 - ctrl
 
 
 def generate_test(

@@ -59,6 +59,7 @@ from ..detect.variation import VariationModel
 from ..netlist.circuit import Circuit
 from ..power.analysis import analyze
 from ..power.library import CellLibrary
+from ..power.synthesis import map_circuit
 from ..prob.propagate import signal_probabilities
 from ..sim.seqsim import SequentialSimulator
 from ..trojan.combinational import insert_additive_burden
@@ -327,8 +328,10 @@ def _compute_golden_side(
     additive_circuit = golden_circuit.copy(f"{golden_circuit.name}_additive")
     insert_additive_burden(additive_circuit, additive_gates)
 
-    golden_gen = TraceGenerator(golden_circuit, library)
-    additive_gen = TraceGenerator(additive_circuit, library)
+    golden_mapped = map_circuit(golden_circuit, library)
+    additive_mapped = map_circuit(additive_circuit, library)
+    golden_gen = TraceGenerator(golden_circuit, library, mapped=golden_mapped)
+    additive_gen = TraceGenerator(additive_circuit, library, mapped=additive_mapped)
     golden_toggles = golden_gen.toggles(sequences)
     additive_toggles = additive_gen.toggles(sequences)
 
@@ -384,8 +387,10 @@ def _compute_golden_side(
             "golden": float(nominal.mean()),
             "additive": float(additive_gen.traces_from_toggles(additive_toggles).mean()),
         },
-        golden_total_uw=analyze(golden_circuit, library).total_uw,
-        additive_total_uw=analyze(additive_circuit, library).total_uw,
+        golden_total_uw=analyze(golden_circuit, library, mapped=golden_mapped).total_uw,
+        additive_total_uw=analyze(
+            additive_circuit, library, mapped=additive_mapped
+        ).total_uw,
     )
 
 
@@ -415,14 +420,15 @@ def trace_evasion_experiment(
     t0 = time.perf_counter()
     side = _golden_side(golden_circuit, library, additive_gates, n_chips, seed, config)
 
-    generator = TraceGenerator(trojanzero_circuit, library)
+    mapped = map_circuit(trojanzero_circuit, library)
+    generator = TraceGenerator(trojanzero_circuit, library, mapped=mapped)
     toggles = generator.toggles(side.stimuli)
     tz_chips = _population(
         generator, toggles, n_chips, config, side.noise, side.ref_mean,
         derive_seed(seed, _SEED_TROJANZERO),
     )
     tz_scores = _score(side.detectors, tz_chips)
-    tz_total = analyze(trojanzero_circuit, library).total_uw
+    tz_total = analyze(trojanzero_circuit, library, mapped=mapped).total_uw
     base_total = side.golden_total_uw
 
     populations = {

@@ -38,6 +38,17 @@ of an optimized pass:
   dead-strip and full ``functional_test`` against ``N`` per candidate
   (:func:`~repro.core.salvage.salvage` walks one stuck-at cone instead).
 
+PODEM's references evaluate three-valued logic one gate type at a time:
+
+* ``evaluate3`` (over ``v_and``, ``v_or``, ``v_xor``, ``v_not`` and
+  ``v_mux``) — the per-call ``if`` chain over gate types that the engine's
+  truth tables and per-type functions (:mod:`repro.atpg.dcalc`) must equal;
+* ``full_imply`` / ``FullImplyPodem`` — PODEM re-simulating both planes of
+  the whole circuit with ``evaluate3`` on every decision and backtracing by
+  gate type (:class:`~repro.atpg.podem.PodemEngine` propagates events, only
+  inside the fault's cone, and steps through per-net codes);
+* ``d_symbol`` — the five-valued rendering of a (good, faulty) pair.
+
 Differential tests in ``tests/`` and the speedup figures of
 ``benchmarks/test_perf_sim.py`` use them.
 """
@@ -48,8 +59,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.atpg.dcalc import CONTROLLING_VALUE, INVERTS, X
 from repro.atpg.fault import StuckAtFault
 from repro.atpg.faultsim import FaultSimResult, _evaluate_packed_int
+from repro.atpg.podem import PodemEngine
 from repro.core.salvage import RemovalRecord, SalvageResult
 from repro.netlist.circuit import Circuit, NetlistError
 from repro.netlist.gate import GateType
@@ -698,3 +711,173 @@ def reference_salvage(
         power_before=power_before,
         power_after=analyze(work, library),
     )
+
+
+def v_and(values: Sequence[int]) -> int:
+    """3-valued AND: 0 dominates, then X, else 1."""
+    saw_x = False
+    for v in values:
+        if v == 0:
+            return 0
+        if v == X:
+            saw_x = True
+    return X if saw_x else 1
+
+
+def v_or(values: Sequence[int]) -> int:
+    """3-valued OR: 1 dominates, then X, else 0."""
+    saw_x = False
+    for v in values:
+        if v == 1:
+            return 1
+        if v == X:
+            saw_x = True
+    return X if saw_x else 0
+
+
+def v_xor(values: Sequence[int]) -> int:
+    """3-valued XOR: any X poisons the parity."""
+    acc = 0
+    for v in values:
+        if v == X:
+            return X
+        acc ^= v
+    return acc
+
+
+def v_not(value: int) -> int:
+    if value == X:
+        return X
+    return 1 - value
+
+
+def v_mux(d0: int, d1: int, sel: int) -> int:
+    if sel == 0:
+        return d0
+    if sel == 1:
+        return d1
+    if d0 == d1 and d0 != X:
+        return d0
+    return X
+
+
+def evaluate3(gate_type: GateType, inputs: Sequence[int]) -> int:
+    """3-valued evaluation of any combinational gate type."""
+    if gate_type is GateType.AND:
+        return v_and(inputs)
+    if gate_type is GateType.NAND:
+        return v_not(v_and(inputs))
+    if gate_type is GateType.OR:
+        return v_or(inputs)
+    if gate_type is GateType.NOR:
+        return v_not(v_or(inputs))
+    if gate_type is GateType.XOR:
+        return v_xor(inputs)
+    if gate_type is GateType.XNOR:
+        return v_not(v_xor(inputs))
+    if gate_type is GateType.NOT:
+        return v_not(inputs[0])
+    if gate_type is GateType.BUFF:
+        return inputs[0]
+    if gate_type is GateType.MUX:
+        return v_mux(inputs[0], inputs[1], inputs[2])
+    if gate_type is GateType.TIE0:
+        return 0
+    if gate_type is GateType.TIE1:
+        return 1
+    raise ValueError(f"cannot evaluate {gate_type} in 3-valued logic")
+
+
+def d_symbol(good: int, faulty: int) -> str:
+    """Render a (good, faulty) pair as the classic five-valued symbol."""
+    if good == X or faulty == X:
+        return "X"
+    if good == faulty:
+        return str(good)
+    return "D" if good == 1 else "D'"
+
+
+def full_imply(
+    engine: PodemEngine, assignment: Dict[str, int], fault: StuckAtFault
+) -> Tuple[List[int], List[int]]:
+    """From-scratch two-plane 3-valued simulation of the whole circuit, over
+    the engine's net positions (the faulty plane outside the cone included)."""
+    circuit = engine.circuit
+    good: List[int] = []
+    faulty: List[int] = []
+    for net in engine._order:
+        gate = circuit.gate(net)
+        if gate.gate_type is GateType.INPUT:
+            g_val = f_val = assignment.get(net, X)
+        else:
+            ins = [engine._pos[i] for i in gate.inputs]
+            g_val = evaluate3(gate.gate_type, [good[i] for i in ins])
+            f_val = evaluate3(gate.gate_type, [faulty[i] for i in ins])
+        if net == fault.net:
+            f_val = fault.value  # the net is stuck, unconditionally
+        good.append(g_val)
+        faulty.append(f_val)
+    return good, faulty
+
+
+class FullImplyPodem(PodemEngine):
+    """PODEM that re-simulates the whole circuit on every decision and
+    backtraces by gate type: the engine before it propagated events inside
+    the fault's cone and resolved its dispatch per net."""
+
+    def _imply(self, assignment, fault):
+        return full_imply(self, assignment, fault)
+
+    def _backtrace(self, objective, good, assignment):
+        row, value = objective
+        guard = 0
+        max_steps = len(self._order) + 8
+        while True:
+            guard += 1
+            if guard > max_steps:
+                return None
+            gate = self.circuit.gate(self._order[row])
+            gt, ins = gate.gate_type, self._fanin[row]
+            if gt is GateType.INPUT:
+                if gate.name in assignment:
+                    return None
+                return (gate.name, value)
+            if gt in (GateType.TIE0, GateType.TIE1):
+                return None
+            if gt is GateType.NOT:
+                row, value = ins[0], 1 - value
+                continue
+            if gt is GateType.BUFF:
+                row = ins[0]
+                continue
+            if gt is GateType.MUX:
+                d0, d1, sel = ins
+                if good[sel] == 0:
+                    row = d0
+                elif good[sel] == 1:
+                    row = d1
+                else:
+                    row, value = sel, 0
+                continue
+            if gt in (GateType.XOR, GateType.XNOR):
+                parity = 1 if gt is GateType.XNOR else 0
+                unknown = None
+                for src in ins:
+                    if good[src] == X:
+                        if unknown is None:
+                            unknown = src
+                    else:
+                        parity ^= good[src]
+                if unknown is None:
+                    return None
+                row, value = unknown, value ^ parity
+                continue
+            ctrl = CONTROLLING_VALUE[gt]
+            needed = (1 - value) if INVERTS[gt] else value
+            x_inputs = [s for s in ins if good[s] == X]
+            if not x_inputs:
+                return None
+            if needed == ctrl:
+                row, value = min(x_inputs, key=self._level.__getitem__), ctrl
+            else:
+                row, value = max(x_inputs, key=self._level.__getitem__), 1 - ctrl

@@ -1,11 +1,22 @@
-"""Unit tests for the 3-valued D-calculus kernel."""
+"""Unit tests for the 3-valued D-calculus: the test-side ``evaluate3`` kernel
+and the per-type functions and truth tables PODEM evaluates with."""
 
 import itertools
 
 import pytest
 
-from repro.atpg.dcalc import X, d_symbol, evaluate3, v_and, v_mux, v_not, v_or, v_xor
+from repro.atpg.dcalc import EVALUATE, X, truth_table
 from repro.netlist import GateType
+from tests.oracles import d_symbol, evaluate3, v_and, v_mux, v_not, v_or, v_xor
+
+#: Input counts the engine sees per type (1-input AND/OR/XOR included).
+ARITIES = {
+    GateType.NOT: (1,),
+    GateType.BUFF: (1,),
+    GateType.MUX: (3,),
+    GateType.TIE0: (0,),
+    GateType.TIE1: (0,),
+}
 
 
 class TestThreeValuedKernels:
@@ -64,6 +75,24 @@ class TestEvaluate3:
                 for refinement in (0, 1):
                     refined = evaluate3(gate_type, (known[0], refinement))
                     assert refined == with_x
+
+
+class TestEngineEvaluators:
+    """``dcalc.EVALUATE`` and ``dcalc.truth_table`` equal ``evaluate3`` on
+    every input combination over {0, 1, X}."""
+
+    @pytest.mark.parametrize("gate_type", sorted(EVALUATE, key=lambda gt: gt.value))
+    def test_equal_evaluate3_everywhere(self, gate_type):
+        for arity in ARITIES.get(gate_type, (1, 2, 3, 4)):
+            table = truth_table(gate_type, arity)
+            assert len(table) == 3**arity
+            for values in itertools.product((0, 1, X), repeat=arity):
+                want = evaluate3(gate_type, values)
+                assert EVALUATE[gate_type](list(values)) == want, (gate_type, values)
+                index = 0
+                for value in values:
+                    index = index * 3 + value
+                assert table[index] == want, (gate_type, values)
 
 
 class TestDSymbols:

@@ -1,8 +1,18 @@
-"""Unit tests for PODEM: completeness on c17, validity, redundancy, aborts."""
+"""Unit tests for PODEM: completeness on c17, validity, redundancy, aborts,
+and the engine against its re-simulating oracle.
+
+:class:`~repro.atpg.podem.PodemEngine` evaluates the faulty plane only inside
+the fault's fanout cone, reads 1- and 2-input gates from truth tables, and
+steps its backtrace through per-net codes.  ``tests.oracles.FullImplyPodem``
+re-simulates both planes of the whole circuit with ``evaluate3`` on every
+decision and backtraces by gate type.  Every collapsed fault must come back
+with the same status, test, backtrack count and decision count from both.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.atpg import (
     FaultSimulator,
@@ -13,37 +23,58 @@ from repro.atpg import (
     full_fault_list,
     generate_test,
 )
-from repro.atpg.dcalc import X, evaluate3
+from repro.atpg.dcalc import X
+from repro.bench import c432_like, c880_like
 from repro.core.thresholds import DefenderModel
 from repro.netlist import Circuit, GateType
+from repro.power.synthesis import optimize_netlist
+from tests.oracles import FullImplyPodem, full_imply
 from tests.test_properties import random_circuits
 
-
-def full_imply(engine, assignment, fault):
-    """From-scratch two-plane 3-valued simulation (the oracle for the
-    engine's event-driven implication), over the engine's net positions."""
-    circuit = engine.circuit
-    good, faulty = [], []
-    for net in engine._order:
-        gate = circuit.gate(net)
-        if gate.gate_type is GateType.INPUT:
-            g_val = f_val = assignment.get(net, X)
-        else:
-            ins = [engine._pos[i] for i in gate.inputs]
-            g_val = evaluate3(gate.gate_type, [good[i] for i in ins])
-            f_val = evaluate3(gate.gate_type, [faulty[i] for i in ins])
-        if net == fault.net:
-            f_val = fault.value  # the net is stuck, unconditionally
-        good.append(g_val)
-        faulty.append(f_val)
-    return good, faulty
+_VARIADIC = (
+    GateType.AND, GateType.NAND, GateType.OR, GateType.NOR, GateType.XOR, GateType.XNOR,
+)
+_FIXED = {
+    GateType.NOT: 1, GateType.BUFF: 1, GateType.MUX: 3, GateType.TIE0: 0, GateType.TIE1: 0,
+}
 
 
-class FullImplyPodem(PodemEngine):
-    """PODEM that re-simulates the whole circuit on every decision."""
+@st.composite
+def podem_circuits(draw, max_gates=14):
+    """Combinational circuits over every gate type PODEM evaluates: 1- to
+    4-input AND/NAND/OR/NOR/XOR/XNOR with repeated inputs allowed (``AND(a,
+    a)``, ``XOR(a, b, a)``), MUX, TIE0/TIE1, and primary outputs that other
+    gates also read."""
+    circuit = Circuit("podem_hyp")
+    nets = [circuit.add_input(f"i{k}") for k in range(draw(st.integers(1, 5)))]
+    for g in range(draw(st.integers(1, max_gates))):
+        gate_type = draw(st.sampled_from(_VARIADIC + tuple(_FIXED)))
+        arity = _FIXED.get(gate_type)
+        if arity is None:
+            arity = draw(st.integers(1, 4))
+        inputs = [nets[draw(st.integers(0, len(nets) - 1))] for _ in range(arity)]
+        nets.append(circuit.add_gate(f"g{g}", gate_type, inputs))
+    for net in nets:
+        if not circuit.gate(net).is_input and not circuit.fanout(net):
+            circuit.set_output(net)
+    for net in draw(st.lists(st.sampled_from(nets), max_size=3)):
+        circuit.set_output(net)  # may already have readers
+    if not circuit.outputs:
+        circuit.set_output(nets[-1])
+    return circuit
 
-    def _imply(self, assignment, fault):
-        return full_imply(self, assignment, fault)
+
+def assert_same_results(circuit, backtrack_limit):
+    engine = PodemEngine(circuit, backtrack_limit)
+    oracle = FullImplyPodem(circuit, backtrack_limit)
+    for fault in collapse_faults(circuit):
+        got, want = engine.generate(fault), oracle.generate(fault)
+        assert (got.status, got.test, got.backtracks, got.decisions) == (
+            want.status,
+            want.test,
+            want.backtracks,
+            want.decisions,
+        ), fault
 
 
 def full_d_frontier(engine, good, faulty):
@@ -165,17 +196,17 @@ class TestIncrementalImplyOracle:
     @pytest.mark.parametrize("circuit_name", ["c432_circuit", "c499_circuit"])
     def test_results_match_full_imply(self, circuit_name, request):
         circuit = request.getfixturevalue(circuit_name)
-        limit = DefenderModel().atpg.backtrack_limit
-        engine = PodemEngine(circuit, backtrack_limit=limit)
-        oracle = FullImplyPodem(circuit, backtrack_limit=limit)
-        for fault in collapse_faults(circuit):
-            got, want = engine.generate(fault), oracle.generate(fault)
-            assert (got.status, got.test, got.backtracks, got.decisions) == (
-                want.status,
-                want.test,
-                want.backtracks,
-                want.decisions,
-            ), fault
+        assert_same_results(circuit, DefenderModel().atpg.backtrack_limit)
+
+    @pytest.mark.parametrize("build", [c432_like, c880_like], ids=["c432", "c880"])
+    def test_phase_a_circuit_matches_full_imply(self, build):
+        """Phase A's synthesized N at the defender's backtrack limit."""
+        assert_same_results(optimize_netlist(build()), DefenderModel().atpg.backtrack_limit)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(podem_circuits(), st.integers(0, 6))
+    def test_every_gate_shape_matches_full_imply(self, circuit, backtrack_limit):
+        assert_same_results(circuit, backtrack_limit)
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(random_circuits(max_gates=16))
