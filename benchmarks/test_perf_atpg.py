@@ -2,11 +2,13 @@
 
 Times ``generate_test_set`` under the default defender profile
 (``DefenderModel().atpg``) on c432, c880, c3540 and c6288, the median of
-three runs; times detection-mask compaction against the re-simulating oracle
-kept in the tests, on c880's pre-compaction pattern matrix; and times
-``FaultSimulator.detection_masks`` (one cone walk per fanout-free-region
-root) against ``reference_detection_masks`` (one cone walk per fault) on
-c3540's pre-compaction pattern matrix and every collapsed fault; and times
+three runs, and takes c6288's ``tracemalloc`` peak in a separate untimed
+run; times detection-mask compaction against the re-simulating oracle kept
+in the tests, on c880's pre-compaction pattern matrix; and times
+``FaultSimulator.detection_masks`` (one event-driven observability walk per
+fanout-free-region root) against ``reference_detection_masks`` (one walk of
+each fault's own fanout cone) on c3540's pre-compaction pattern matrix and
+every collapsed fault; and times
 ``PodemEngine`` (event-driven, cone-restricted faulty plane, truth tables)
 against ``FullImplyPodem`` (whole-circuit re-simulation with ``evaluate3``
 per decision) over every collapsed fault of Phase A's synthesized c432 and
@@ -20,13 +22,16 @@ The floors are loud-regression tripwires well below the observed speedups
 they catch compaction falling back to per-pattern re-simulation, the masks
 falling back to one cone walk per fault and PODEM losing its cone
 restriction and truth tables (that engine read ~11x), not machine-to-machine
-variance.
+variance.  The c6288 memory ceiling is a tripwire of the same kind: ~3 MB
+peak when fault simulation keeps nothing per root, ~15 MB when each
+simulated root's cone row list stays cached on the compiled form.
 """
 
 from __future__ import annotations
 
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -35,6 +40,7 @@ from repro.atpg import generate as generate_module
 from repro.bench import c432_like, c880_like, c3540_like, c6288_like
 from repro.core.thresholds import DefenderModel
 from repro.power.synthesis import optimize_netlist
+from repro.sim.compiled import compile_circuit
 from tests.oracles import FullImplyPodem, reference_detection_masks
 from tests.test_atpg_generate import oracle_compact
 from tests.test_ppsfp import defender_patterns
@@ -59,6 +65,9 @@ MIN_MASKS_SPEEDUP = 1.5
 #: Loud-regression floor on PODEM vs. the whole-circuit re-simulating oracle.
 MIN_PODEM_SPEEDUP = 12.0
 
+#: Loud-regression ceiling on c6288 ``generate_test_set``'s traced peak.
+MAX_C6288_GENERATE_PEAK_MB = 8.0
+
 
 def _median_time(fn, repeats: int = REPEATS):
     times, result = [], None
@@ -69,8 +78,23 @@ def _median_time(fn, repeats: int = REPEATS):
     return statistics.median(times), result
 
 
+def _traced_peak_mb(fn) -> float:
+    """Peak traced allocation of ``fn()``, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def test_atpg_generate_and_compaction(monkeypatch):
     config = DefenderModel().atpg
+    # Untimed and first, so the compiled form's on-demand state is built
+    # inside the traced run; the compile itself stays outside it.
+    circuit = c6288_like()
+    compile_circuit(circuit)
+    c6288_peak_mb = _traced_peak_mb(lambda: generate_test_set(circuit, config))
     generate = {}
     for name, build in CIRCUITS.items():
         circuit = build()
@@ -80,6 +104,7 @@ def test_atpg_generate_and_compaction(monkeypatch):
             "n_patterns": ts.n_patterns,
             "coverage": ts.coverage,
         }
+    generate["c6288"]["tracemalloc_peak_mb"] = c6288_peak_mb
 
     circuit = c880_like()
     patterns = defender_patterns(circuit, monkeypatch)
@@ -110,7 +135,8 @@ def test_atpg_generate_and_compaction(monkeypatch):
     update_perf_report("atpg", {
         "workload": "generate_test_set under DefenderModel().atpg, median of "
         f"{REPEATS}; c880 compaction (mask pass + set cover) vs. the "
-        "re-simulating oracle; c3540 detection_masks (one cone walk per "
+        "re-simulating oracle; c6288 tracemalloc peak of one untimed run; "
+        "c3540 detection_masks (one event-driven observability walk per "
         "fanout-free-region root) vs. the per-fault cone walk",
         "generate": generate,
         "compaction": {
@@ -134,6 +160,10 @@ def test_atpg_generate_and_compaction(monkeypatch):
         f"mask compaction speedup regressed: {speedup:.1f}x < "
         f"{MIN_COMPACTION_SPEEDUP}x over the re-simulating oracle on c880 "
         f"(see {BENCH_PERF_PATH})"
+    )
+    assert c6288_peak_mb <= MAX_C6288_GENERATE_PEAK_MB, (
+        f"c6288 generate_test_set traced peak regressed: {c6288_peak_mb:.1f} MB > "
+        f"{MAX_C6288_GENERATE_PEAK_MB} MB (see {BENCH_PERF_PATH})"
     )
     assert masks_speedup >= MIN_MASKS_SPEEDUP, (
         f"detection_masks speedup regressed: {masks_speedup:.2f}x < "

@@ -339,8 +339,8 @@ def test_pipeline_end_to_end_timing():
         "salvage_trials": trials,
         "salvage_compile_stats": stats,
     })
-    # Salvage's trials are stuck-at cone walks on the compiled form Phase A
-    # left on N: no trial, accepted or not, may compile anything.
+    # Salvage's trials are stuck-at fault-effect walks on the compiled form
+    # Phase A left on N: no trial, accepted or not, may compile anything.
     assert stats["full_compiles"] == 0 and stats["patched_compiles"] == 0, (
         f"salvage compiled over {trials} trials (stats: {stats}; "
         f"see {BENCH_PERF_PATH})"

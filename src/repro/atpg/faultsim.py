@@ -20,16 +20,18 @@ inputs for the select pin).  A fault's detection mask is therefore its
 excitation ``good ^ stuck``, ANDed with each hop's sensitization, ANDed with
 the root's *observability mask*: the patterns on which flipping the root
 reaches a primary output.  Patterns are independent bit lanes, so this is
-exact for single stuck-at faults.  Observability takes one fanout-cone walk
-per root, gate by gate on Python ints, skipping gates with no faulty input
-and stopping wherever the effect is masked; it is memoized per call, so the
-faults of a region share it.  :meth:`FaultSimulator.run` is the
+exact for single stuck-at faults.  Observability takes one event-driven
+walk per root (:func:`propagate_forced`): from the flipped root, gate by
+gate on Python ints, only the readers of rows whose value changed are
+evaluated, in row (so topological) order, and the effect stops wherever it
+is masked.  It is memoized per call, so the faults of a region share it, and
+nothing per root outlives the call.  :meth:`FaultSimulator.run` is the
 first-detect view of those masks (the lowest set bit per fault).
 
 This powers (a) the ATPG outer loop (drop every fault a fresh PODEM vector
 detects), (b) compaction and coverage reporting, and (c) the reproduction's
 analysis of *which* stuck-at faults the defender's TP set leaves uncovered —
-the holes TrojanZero's removals hide in.  The cone walk itself,
+the holes TrojanZero's removals hide in.  The walk itself,
 :func:`propagate_forced`, also decides Algorithm 1's trials
 (:mod:`repro.core.salvage`): tying a net to a constant is the stuck-at
 fault the defender's patterns either detect or miss.
@@ -38,6 +40,7 @@ fault the defender's patterns either detect or miss.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -135,7 +138,7 @@ def good_values(cc: CompiledCircuit, patterns: np.ndarray) -> Tuple[List[int], i
     data = host.tobytes()
     width = host.shape[1] * 8
     # Inverting gates set the pad bits past n_patterns; mask them off so
-    # the == early-exits in the cone walk stay exact.
+    # the == early-exits in the fault-effect walk stay exact.
     good = [
         int.from_bytes(data[start : start + width], "little") & full
         for start in range(0, len(data), width)
@@ -146,39 +149,47 @@ def good_values(cc: CompiledCircuit, patterns: np.ndarray) -> Tuple[List[int], i
 def propagate_forced(
     node: Sequence[Optional[Tuple[GateType, Tuple[int, ...]]]],
     po_set: AbstractSet[int],
-    cone: Iterable[int],
+    readers: Sequence[Sequence[int]],
     good: List[int],
     forced: Dict[int, int],
     full: int,
 ) -> int:
-    """Walk a fanout cone with some rows forced; bit *p* set iff a PO changes.
+    """Walk forward from some forced rows; bit *p* set iff a PO changes.
 
-    ``forced`` maps rows to the values they are forced to; ``cone`` is every
-    row downstream of them, in topological order, and ``node`` gives each
-    row's gate type and input rows (a row with no inputs never changes).
-    The walk goes gate by gate on Python ints over ``good``, skips gates
-    with no changed input and drops every value equal to ``good``, so an
-    effect stops wherever it is masked.  ``forced`` is extended in place
-    with every row whose value changed: on return it is exactly the
-    difference between the forced circuit and ``good``.
+    ``forced`` maps rows to the values they are forced to; ``readers`` gives
+    each row's reader rows and ``node`` each row's gate type and input rows.
+    Starting from the forced rows, the readers of every changed row are
+    queued once and popped in ascending row order, which is topological
+    (compiled rows are level-sorted), so a gate is evaluated, on Python ints
+    over ``good``, after all its inputs are final.  A value equal to
+    ``good`` queues nothing, so an effect stops wherever it is masked.
+    Forced rows keep their values, and a row with no inputs never changes.
+    ``forced`` is extended in place with every row whose value changed: on
+    return it is exactly the difference between the forced circuit and
+    ``good``.
     """
     observed = 0
-    for row, value in forced.items():
+    queued = set(forced)
+    heap = sorted(queued)
+    while heap:
+        row = heappop(heap)
+        value = forced.get(row)
+        if value is None:
+            gate_type, ins = node[row]
+            if not ins:
+                continue  # a tied row
+            value = _evaluate_packed_int(
+                gate_type, [forced.get(i, good[i]) for i in ins], full
+            )
+            if value == good[row]:
+                continue  # change masked at this gate for all patterns
+            forced[row] = value
         if row in po_set:
             observed |= value ^ good[row]
-    carriers = forced.keys()
-    for row in cone:
-        gate_type, ins = node[row]
-        if carriers.isdisjoint(ins):
-            continue  # no input carries a change
-        value = _evaluate_packed_int(
-            gate_type, [forced.get(i, good[i]) for i in ins], full
-        )
-        if value == good[row]:
-            continue  # change masked at this gate for all patterns
-        forced[row] = value
-        if row in po_set:
-            observed |= value ^ good[row]
+        for reader in readers[row]:
+            if reader not in queued:
+                queued.add(reader)
+                heappush(heap, reader)
     return observed
 
 
@@ -212,8 +223,7 @@ class FaultSimulator:
         if root in cc.po_set:
             return full
         return propagate_forced(
-            cc.node, cc.po_set, cc.cone_rows_at(root), good,
-            {root: good[root] ^ full}, full,
+            cc.node, cc.po_set, cc.readers, good, {root: good[root] ^ full}, full
         )
 
     def run(
@@ -242,8 +252,8 @@ class FaultSimulator:
         A fault's effect ``good ^ stuck`` climbs its fanout-free region one
         gate at a time, kept only where the gate's side inputs let it
         through, and what reaches the region's root is ANDed with the root's
-        observability mask — one cone walk per root, shared by every fault
-        of the region.  The lowest set bit is the first-detect index
+        observability mask — one walk forward from the root, shared by every
+        fault of the region.  The lowest set bit is the first-detect index
         :meth:`run` reports; 0 = undetected.
         """
         good, full = good_values(self._compiled, np.atleast_2d(np.asarray(patterns)))

@@ -81,8 +81,6 @@ class AtpgConfig:
     target_coverage: float = 1.0
     #: Hard cap on the final pattern count (None = unlimited).
     max_patterns: Optional[int] = None
-    #: Target hardest faults last (SCOAP ordering), like industrial tools.
-    order_by_testability: bool = True
 
 
 def generate_test_set(
@@ -115,9 +113,10 @@ def generate_test_set(
             remaining = outcome.undetected
 
     # ------------------------------------------------------------------
-    # Phase 2: deterministic PODEM with cross-dropping, easiest faults first,
-    # stopping at the coverage target / pattern budget.
-    if config.order_by_testability and remaining:
+    # Phase 2: deterministic PODEM with cross-dropping, easiest faults first
+    # (SCOAP ordering, like industrial tools), stopping at the coverage
+    # target / pattern budget.
+    if remaining:
         measures = compute_testability(circuit)
         remaining.sort(key=measures.fault_difficulty)
     aborted: List[StuckAtFault] = []

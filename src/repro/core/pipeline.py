@@ -10,8 +10,9 @@ Every simulation in the flow — threshold fault-sims, salvage's trials, the
 sequential functional tests of the infected N'', and the Monte-Carlo Pft
 sessions — runs on the compiled levelized engine of
 :mod:`repro.sim.compiled`, sharing schedules across circuit copies through
-the structural-fingerprint cache.  Salvage's trials are stuck-at cone walks
-on N's compiled form, which Phase A already built, so they compile nothing.
+the structural-fingerprint cache.  Salvage's trials are stuck-at
+fault-effect walks on N's compiled form, which Phase A already built, so they
+compile nothing.
 
 Phase A depends only on N, the defender model (with its derived seeds) and
 the cell library — Pth first appears in Algorithm 1 — so :func:`phase_a`
@@ -131,7 +132,9 @@ def phase_a(
 
     Returns the report and whether it was shared from an earlier call.  The
     stored report is never handed out: every caller gets its own circuit copy
-    and pattern-set lists, and the stored pattern arrays are read-only.
+    and pattern-set lists, and the stored pattern arrays are read-only.  The
+    copies carry the stored circuit's compiled form, so sharing cells compile
+    nothing; fault simulation keeps no per-fault or per-root state on it.
     """
     key = memo_key(circuit, library, defender)
     entry = _phase_a_memo.get(key)
@@ -143,8 +146,7 @@ def phase_a(
         arrays = (report.test_set.patterns, *report.pattern_sets, *report.bespoke_sets)
         for patterns in arrays:
             patterns.setflags(write=False)
-        lean = replace(report, circuit=_lean_copy(report.circuit))
-        _phase_a_memo.put(key, (lean, library))
+        _phase_a_memo.put(key, (report, library))
     return (
         replace(
             report,
@@ -154,21 +156,6 @@ def phase_a(
         ),
         shared,
     )
-
-
-def _lean_copy(circuit: Circuit) -> Circuit:
-    """A copy of ``circuit`` for the memo that pins no ATPG cache.
-
-    Phase A's fault simulation leaves per-site cone row lists on the
-    compiled form (on c3540, 1087 lists holding 90k row ints).  Nothing
-    after Phase A reads them (salvage walks a cache-free view of its own),
-    so the stored copy keeps the compiled schedule (sharing cells still skip
-    the cold compile) without those caches.
-    """
-    lean = circuit.copy()
-    if lean._compiled_cache is not None:
-        lean._compiled_cache = lean._compiled_cache.without_caches()
-    return lean
 
 
 def _clear_phase_a() -> None:

@@ -15,10 +15,11 @@ circuit equals ``N`` at the outputs on every pattern, and a trial need not
 compare against ``N`` at all.  ``N`` is simulated once on all patterns, on
 its compiled form, as one Python int per row
 (:func:`repro.atpg.faultsim.good_values`); each trial forces *s* to *v* and
-walks *s*'s fanout cone (:func:`repro.atpg.faultsim.propagate_forced`),
-rows tied by earlier accepted edits acting as inputless sources.  No PO
-change accepts the edit: the walk's changed rows merge into the per-row
-values, and the tie and dead-strip are applied to the working circuit once.
+follows the change forward from *s*, gate by gate, only through gates whose
+value it flips (:func:`repro.atpg.faultsim.propagate_forced`), rows tied by
+earlier accepted edits acting as inputless sources.  No PO change accepts
+the edit: the walk's changed rows merge into the per-row values, and the tie
+and dead-strip are applied to the working circuit once.
 Salvage therefore compiles nothing when ``N`` is already compiled (as
 Phase A leaves it); :attr:`SalvageResult.compile_stats` records that.
 """
@@ -128,9 +129,7 @@ def salvage(
     if max_candidates is not None:
         candidates = candidates[:max_candidates]
 
-    # A view without the cone caches, so the walks below pin none on a
-    # compiled form that outlives this call (the Phase A memo's).
-    compiled = compile_circuit(circuit).without_caches()
+    compiled = compile_circuit(circuit)
     patterns = [np.atleast_2d(np.asarray(p)) for p in pattern_sets]
     values, full = good_values(
         compiled,
@@ -152,7 +151,7 @@ def salvage(
         forced = full if tied_value else 0
         changed = {row: forced} if forced != values[row] else {}
         if changed and propagate_forced(
-            node, compiled.po_set, compiled.cone_rows_at(row), values, changed, full
+            node, compiled.po_set, compiled.readers, values, changed, full
         ):
             removals.append(
                 RemovalRecord(

@@ -31,14 +31,15 @@ and builds:
 Fault-simulation support
 ------------------------
 Fault simulation (:class:`~repro.atpg.faultsim.FaultSimulator`) runs the full
-schedule once for the good values, then walks one fanout cone per
-fanout-free-region root (not per fault) one gate at a time on Python ints;
-each fault reaches its root along a single path, evaluated from good values.
-The compiled form supplies what that needs: ``node``, each row's gate type
-and input rows (from which the simulator derives its region table), and
-:meth:`CompiledCircuit.cone_rows_at`, a root's cone rows in topological
-order.  Cone row lists are cached on the compiled circuit, so every
-simulator built for the same (unmutated) circuit shares them.
+schedule once for the good values, then follows each fanout-free-region
+root's flip forward one gate at a time on Python ints; each fault reaches
+its root along a single path, evaluated from good values.  The compiled form
+supplies what that needs: ``node``, each row's gate type and input rows
+(from which the simulator derives its region table), and
+:attr:`CompiledCircuit.readers`, each row's reader rows.  Rows are numbered
+in level order, so popping queued readers in ascending row order evaluates
+every gate after all of its inputs.  Nothing per root or per fault is kept
+on the compiled form.
 
 Sequential schedule
 -------------------
@@ -67,18 +68,18 @@ Compilation caching
    circuits that are *different objects* (edit/revert round-trips,
    re-parsed netlists).
 
-Salvage's tie trials need neither: they are stuck-at cone walks on the
-compiled form of the unedited circuit (:mod:`repro.core.salvage`).
+Salvage's tie trials need neither: they are stuck-at fault-effect walks on
+the compiled form of the unedited circuit (:mod:`repro.core.salvage`).
 ``COMPILE_STATS`` counts hits per level so callers (and the perf harness)
 can verify cache behaviour.
 """
 
 from __future__ import annotations
 
-import copy
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -133,29 +134,6 @@ class GateGroup:
     out: object
     reducer: Optional[np.ufunc]
     invert: bool
-
-
-def _build_row_adjacency(
-    n_nets: int, schedule: List[GateGroup]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """CSR (starts, dst) of the row-level reads-edges of a group schedule."""
-    src_parts: List[np.ndarray] = []
-    dst_parts: List[np.ndarray] = []
-    for group in schedule:
-        n_gates, arity = group.in_idx.shape
-        src_parts.append(group.in_idx.ravel())
-        dst_parts.append(np.repeat(group.out_idx, arity))
-    if src_parts:
-        src = np.concatenate(src_parts)
-        dst = np.concatenate(dst_parts)
-        order = np.argsort(src, kind="stable")
-        src = src[order]
-        dst = dst[order].astype(np.intp)
-    else:
-        src = np.empty(0, dtype=np.intp)
-        dst = np.empty(0, dtype=np.intp)
-    starts = np.searchsorted(src, np.arange(n_nets + 1)).astype(np.intp)
-    return starts, dst
 
 
 def _evaluate_group(group: GateGroup, values: np.ndarray) -> None:
@@ -302,7 +280,7 @@ class CompiledCircuit:
         self.is_sequential = bool(dff_nets)
 
         #: Per-row (gate_type, input row indices); None for source rows.
-        #: Fault simulation's region table and cone walks read it.
+        #: Fault simulation's region table and fault-effect walks read it.
         self.node: List[object] = [None] * self.n_nets
 
         self.schedule: List[GateGroup] = []
@@ -328,17 +306,19 @@ class CompiledCircuit:
                     invert=gt in _INVERTING,
                 )
             )
-        # Row-level fanout adjacency in CSR form (``_edge_starts[r] ..
-        # _edge_starts[r+1]`` indexes ``_edge_dst``).  Cone extraction walks
-        # this instead of the Circuit object, so a compiled form shared via
-        # the fingerprint cache stays valid even if the circuit object it was
-        # originally built from is mutated later.
-        self._edge_starts, self._edge_dst = _build_row_adjacency(
-            self.n_nets, self.schedule
-        )
-        self._readers: Optional[List[List[int]]] = None
-        self._cone_rows_cache: Dict[int, List[int]] = {}
         self._plan_cache: Dict[Tuple[int, ...], SequentialPlan] = {}
+
+    @cached_property
+    def readers(self) -> List[List[int]]:
+        """Per row, the rows whose gates read it: one entry per reader,
+        ascending.  Built from ``node`` on first use; fault-effect walks
+        (:func:`repro.atpg.faultsim.propagate_forced`) follow it forward."""
+        readers: List[List[int]] = [[] for _ in range(self.n_nets)]
+        for row, node in enumerate(self.node):
+            if node is not None:
+                for src in set(node[1]):
+                    readers[src].append(row)
+        return readers
 
     # ------------------------------------------------------------------
     # full-circuit evaluation
@@ -438,37 +418,6 @@ class CompiledCircuit:
             self._plan_cache[watched] = plan
         return plan
 
-    # ------------------------------------------------------------------
-    # fanout cones
-    # ------------------------------------------------------------------
-    def cone_rows_at(self, site: int) -> List[int]:
-        """Topologically-sorted fanout-cone rows of row ``site`` (exclusive).
-
-        Cached per site; hot in fault simulation.
-        """
-        cached = self._cone_rows_cache.get(site)
-        if cached is None:
-            readers = self._readers
-            if readers is None:
-                # The CSR adjacency as Python lists, built once: per-row
-                # numpy slicing dominates the walk on large cones.
-                starts, dst = self._edge_starts.tolist(), self._edge_dst.tolist()
-                readers = self._readers = [
-                    dst[starts[row] : starts[row + 1]] for row in range(self.n_nets)
-                ]
-            seen = {site}
-            stack = [site]
-            while stack:
-                row = stack.pop()
-                for nxt in readers[row]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            seen.discard(site)
-            cached = sorted(seen)
-            self._cone_rows_cache[site] = cached
-        return cached
-
     def _subschedule_for_rows(self, rows: List[int]) -> Tuple[GateGroup, ...]:
         """Restrict the group schedule to the (sorted) member ``rows``."""
         groups: List[GateGroup] = []
@@ -489,16 +438,6 @@ class CompiledCircuit:
                 replace(group, out_idx=out_idx, in_idx=group.in_idx[keep], out=out_idx)
             )
         return tuple(groups)
-
-    def without_caches(self) -> "CompiledCircuit":
-        """A copy that shares the schedule and index arrays but none of the
-        caches built on demand (fault-simulation cone rows and readers,
-        sequential plans), for long-lived holders that must not pin them."""
-        lean = copy.copy(self)
-        lean._readers = None
-        lean._cone_rows_cache = {}
-        lean._plan_cache = {}
-        return lean
 
 
 @dataclass

@@ -20,7 +20,8 @@ engine it pins:
 * ``reference_detection_masks`` — full-width detection masks by one
   fanout-cone walk per *fault*, as
   :meth:`~repro.atpg.faultsim.FaultSimulator.detection_masks` computed them
-  before it walked one cone per fanout-free-region root.
+  before it walked forward from each fanout-free-region root; the cone
+  comes from :meth:`~repro.netlist.circuit.Circuit.fanout_cone`.
 
 Three netlist-walk oracles sit alongside them, each the straightforward form
 of an optimized pass:
@@ -36,7 +37,8 @@ of an optimized pass:
   per net (:func:`~repro.core.insertion.rank_victims`);
 * ``reference_salvage`` — Algorithm 1 with one circuit copy, tie,
   dead-strip and full ``functional_test`` against ``N`` per candidate
-  (:func:`~repro.core.salvage.salvage` walks one stuck-at cone instead).
+  (:func:`~repro.core.salvage.salvage` follows one stuck-at fault effect
+  forward instead).
 
 PODEM's references evaluate three-valued logic one gate type at a time:
 
@@ -193,8 +195,11 @@ def reference_detection_masks(
     one Python-int walk of every fault's own fanout cone: inject the stuck
     value at the site, evaluate each cone gate with a faulty input, stop
     where the effect is masked, and collect faulty ^ good on the primary
-    outputs.  No fanout-free-region shortcut, so it pins
-    :meth:`~repro.atpg.faultsim.FaultSimulator.detection_masks` bit for bit.
+    outputs.  The cone comes from :meth:`Circuit.fanout_cone`, in compiled
+    row order (level order, so topological), and no fanout-free-region
+    shortcut is taken: it shares no walk or adjacency code with
+    :meth:`~repro.atpg.faultsim.FaultSimulator.detection_masks`, which it
+    pins bit for bit.
     """
     patterns = np.atleast_2d(np.asarray(patterns))
     n_patterns = patterns.shape[0]
@@ -211,12 +216,13 @@ def reference_detection_masks(
         for start in range(0, len(data), width)
     ]
 
-    def detect_mask(site: int, stuck: int) -> int:
+    def detect_mask(net: str, stuck: int) -> int:
+        site = cc.index[net]
         if good[site] == stuck:
             return 0  # never excited by these patterns
         faulty: Dict[int, int] = {site: stuck}
         detect = 0
-        for row in cc.cone_rows_at(site):
+        for row in sorted(cc.index[n] for n in circuit.fanout_cone(net) if n != net):
             gate_type, ins = cc.node[row]
             if faulty.keys().isdisjoint(ins):
                 continue  # no input carries the fault effect
@@ -232,7 +238,7 @@ def reference_detection_masks(
             detect |= stuck ^ good[site]
         return detect & full
 
-    return [detect_mask(cc.index[f.net], full if f.value else 0) for f in faults]
+    return [detect_mask(f.net, full if f.value else 0) for f in faults]
 
 
 def _eval_packed(

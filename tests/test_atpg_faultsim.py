@@ -10,8 +10,10 @@ from repro.atpg import (
     fault_coverage,
     full_fault_list,
 )
+from repro.atpg.faultsim import good_values, propagate_forced
 from repro.netlist import Circuit, GateType, tie_net_to_constant
 from repro.sim import BitSimulator, exhaustive_patterns
+from repro.sim.compiled import compile_circuit
 from tests.oracles import reference_fault_sim
 
 
@@ -157,3 +159,26 @@ class TestDetectionMasks:
         zeros = np.zeros((70, len(c17_circuit.inputs)), dtype=np.uint8)
         masks = sim.detection_masks(zeros, [StuckAtFault(pi, 0) for pi in c17_circuit.inputs])
         assert masks == [0] * len(c17_circuit.inputs)
+
+
+class TestPropagateForced:
+    def test_downstream_forced_row_keeps_its_value(self):
+        """Forcing a row inside another forced row's fanout holds it: the
+        walk never re-evaluates a forced row, and ``forced`` ends as the
+        exact difference from the good values."""
+        c = Circuit("chain")
+        c.add_input("a")
+        c.add_gate("b", GateType.NOT, ["a"])
+        c.add_gate("d", GateType.NOT, ["b"])
+        c.add_gate("e", GateType.BUFF, ["d"])
+        c.set_output("e")
+        cc = compile_circuit(c)
+        a, b, d, e = (cc.index[n] for n in "abde")
+        good, full = good_values(cc, np.array([[0], [1]], dtype=np.uint8))
+        forced = {a: good[a] ^ full, d: good[d]}
+        observed = propagate_forced(cc.node, cc.po_set, cc.readers, good, forced, full)
+        assert observed == 0
+        assert forced == {a: good[a] ^ full, b: good[b] ^ full, d: good[d]}
+        forced = {a: good[a] ^ full}
+        assert propagate_forced(cc.node, cc.po_set, cc.readers, good, forced, full) == full
+        assert set(forced) == {a, b, d, e}

@@ -4,8 +4,8 @@ Phase A — verify N, defender ATPG, synthesis, thresholds — does not depend
 on Pth, so the cells of a Pth sweep of one (circuit, seed) share it.  These
 tests pin that sharing changes no payload, that everything able to reach a
 Phase A report separates memo entries, that nothing a cell receives can
-mutate the stored report, that a stored report pins none of ATPG's fault
-simulation caches, and that the memo stays bounded.
+mutate the stored report, that sharing calls reuse the stored compiled
+schedule, and that the memo stays bounded.
 """
 
 from __future__ import annotations
@@ -192,25 +192,19 @@ class TestNothingSharedIsMutable:
         assert fresh.circuit.nets == nets
 
 
-class TestStoredEntryIsLean:
-    def test_stored_entry_pins_no_cone_cache(self):
+class TestSharingReusesTheSchedule:
+    def test_sharing_call_compiles_nothing(self):
         library, defender = tech65_library(), DefenderModel()
         first, shared = phase_a(c432_like(), library, defender)
         assert not shared
         (stored,) = _stored()
-        # The computing call hands out ATPG's compiled form, cone caches and all.
-        computed = compile_circuit(first.circuit)
-        assert computed._cone_rows_cache and computed._readers is not None
-        lean = stored.circuit._compiled_cache
-        assert lean is not None and lean is not computed
-        assert lean.schedule is computed.schedule
-        assert not lean._cone_rows_cache and lean._readers is None
-        assert not lean._plan_cache
-        # Sharing calls still start from the stored compiled schedule.
+        compiled = stored.circuit._compiled_cache
+        assert compiled is not None and compile_circuit(first.circuit) is compiled
+        # Sharing calls start from the stored compiled schedule.
         before = COMPILE_STATS.snapshot()
         second, shared = phase_a(c432_like(), library, defender)
         assert shared
-        assert compile_circuit(second.circuit) is lean
+        assert compile_circuit(second.circuit) is compiled
         assert COMPILE_STATS.delta_since(before)["full_compiles"] == 0
 
 

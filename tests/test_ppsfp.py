@@ -1,8 +1,8 @@
 """Differential tests pinning the stem-region fault simulator bit-exactly.
 
-``FaultSimulator.detection_masks`` walks one fanout cone per
-fanout-free-region root and reaches it from each fault along the fault's
-single path, ANDing in each gate's sensitization from good values.  Its
+``FaultSimulator.detection_masks`` runs one event-driven walk forward from
+each fanout-free-region root and reaches the root from each fault along the
+fault's single path, ANDing in each gate's sensitization from good values.  Its
 ``run`` must agree fault-for-fault, index-for-index with
 
 * ``reference_fault_sim`` — the per-gate/Python-int oracle in
@@ -38,8 +38,11 @@ from repro.atpg import (
 )
 from repro.atpg import generate as generate_module
 from repro.bench import c432_like, c499_like, c880_like, c3540_like
+from repro.core.salvage import salvage
 from repro.core.thresholds import DefenderModel
 from repro.netlist import Circuit, GateType
+from repro.power.tech65 import tech65_library
+from repro.sim.compiled import compile_circuit
 from tests.oracles import reference_detection_masks, reference_fault_sim
 
 _GATE_TYPES = [
@@ -277,3 +280,34 @@ class TestIscasMasks:
         circuit = build()
         patterns = defender_patterns(circuit, monkeypatch)
         _assert_same_masks(circuit, patterns, collapse_faults(circuit))
+
+
+def _container_sizes(cc):
+    """Length of each container attribute of ``cc`` and of the containers
+    it holds directly (e.g. the row lists of a list of lists)."""
+    sizes = {}
+    for name, value in vars(cc).items():
+        if isinstance(value, (list, tuple, dict, set)):
+            items = value.values() if isinstance(value, dict) else value
+            nested = sum(len(v) for v in items if isinstance(v, (list, dict, set)))
+            sizes[name] = (len(value), nested)
+    return sizes
+
+
+class TestCompiledFormDoesNotGrow:
+    def test_masks_and_salvage_leave_no_per_fault_state(self):
+        """Fault simulation and salvage keep nothing per fault or per root on
+        the compiled form that the fingerprint cache and the Phase A memo
+        hold: after a first call, later calls with other patterns and faults
+        grow none of its containers."""
+        circuit = c3540_like()
+        cc = compile_circuit(circuit)
+        faults = collapse_faults(circuit)
+        simulator = FaultSimulator(circuit)
+        simulator.detection_masks(_patterns(circuit, 64, 0), faults[::2])
+        sizes = _container_sizes(cc)
+        patterns = _patterns(circuit, 100, 1)
+        assert any(simulator.detection_masks(patterns, faults[1::2]))
+        result = salvage(circuit, [patterns], tech65_library(), 0.9, max_candidates=40)
+        assert result.compile_stats["full_compiles"] == 0
+        assert _container_sizes(cc) == sizes

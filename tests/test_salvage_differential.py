@@ -1,8 +1,8 @@
-"""Differential tests: Algorithm 1 as stuck-at cone walks vs. whole-circuit trials.
+"""Differential tests: Algorithm 1 as fault-effect walks vs. whole-circuit trials.
 
 :func:`repro.core.salvage.salvage` decides each candidate by forcing it to
-its tied value over N's per-row simulation values and walking its fanout
-cone.  ``tests.oracles.reference_salvage`` decides it the direct way: tie
+its tied value over N's per-row simulation values and following the
+change forward through the gates it flips.  ``tests.oracles.reference_salvage`` decides it the direct way: tie
 a copy of the working circuit, dead-strip it and run ``functional_test``
 against N on every pattern set.  The two must agree field for field — the
 candidates, every removal record (accepted or not, tied value, stripped
@@ -42,7 +42,7 @@ def assert_same_salvage(circuit, pattern_sets, library, p_threshold, **kwargs):
 
 
 def edge_circuit() -> Circuit:
-    """Rare nodes at the places a cone walk can go wrong.
+    """Rare nodes at the places a fault-effect walk can go wrong.
 
     ``rare`` (P(1) = 2^-6) is a primary output that also feeds ``y``;
     ``low`` (P(1) = 2^-3) is a primary output with no readers; ``dz`` is a
